@@ -84,7 +84,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--seconds", type=float,
+                    help="measured window (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--self-test", action="store_true",
                     help="build and run the benchmark's own tests")
@@ -93,6 +94,8 @@ def main():
     if not os.path.isfile(os.path.join(ROOT, "BENCHMARK.json")):
         fail("BENCHMARK.json not found at the checkout root")
     spec = load_spec()
+    if args.seconds is None:
+        args.seconds = float(spec["run_seconds"])
     build()
     if args.self_test:
         tests = os.path.join(BUILD, "perfbench_tests")
@@ -134,7 +137,8 @@ def main():
             fail("unit of %s is %s, BENCHMARK.json says %s" % (m["name"], got["unit"], m["unit"]),
                  6)
         metrics[m["name"]] = {"value": got["value"], "unit": m["unit"]}
-    extra = sorted(set(record["metrics"]) - {m["name"] for m in wanted})
+    extra = sorted(set(record["metrics"]) -
+                   {m["name"] for m in spec["end_to_end"] + spec["per_layer"]})
     if extra:
         fail("metrics missing from BENCHMARK.json: " + ", ".join(extra), 6)
 

@@ -47,10 +47,10 @@ struct StreamInput {
     std::vector<Matrix<float>> q, k, v;
 };
 
-StreamInput make_input(std::uint64_t seed) {
+StreamInput make_input(std::uint64_t seed, int steps) {
     Rng rng(seed);
     StreamInput in;
-    for (int t = 0; t < kHorizon; ++t) {
+    for (int t = 0; t < steps; ++t) {
         in.q.push_back(random_matrix(kHeads, kHeadDim, rng));
         in.k.push_back(random_matrix(kHeads, kHeadDim, rng));
         in.v.push_back(random_matrix(kHeads, kHeadDim, rng));
@@ -182,7 +182,7 @@ struct Phase {
     std::uint64_t steps = 0;
 };
 
-/// Whole streams (one slice each) for at least `seconds`.
+/// Whole streams for at least `seconds`.
 void run_streams(Setup& st, const StreamInput& in, const Ledger& ledger, double seconds,
                  RunResult& r, Phase& ph, Tracer* tr) {
     DecodeSession& session = *st.session;
@@ -190,7 +190,6 @@ void run_streams(Setup& st, const StreamInput& in, const Ledger& ledger, double 
     do {
         const StreamId id = st.first_stream ? *st.first_stream : open(session);
         st.first_stream.reset();
-        Slice& stream = ph.e.slices.emplace_back();
         for (int t = 0; t < kHorizon; ++t) {
             ++r.attempted;
             const auto unit = static_cast<std::int64_t>(ph.steps++);
@@ -198,21 +197,24 @@ void run_streams(Setup& st, const StreamInput& in, const Ledger& ledger, double 
             const int submit_span =
                 tr != nullptr ? tr->open("decode_session.step", step_span, unit) : -1;
             const auto sent = Clock::now();
+            const double cpu0 = process_cpu_s();
             std::future<StepResult> f = session.step(id, step_request(in, t));
             if (tr != nullptr) tr->close(submit_span);
             try {
                 const StepResult got = f.get();
                 const double ms = ms_between(sent, Clock::now());
+                const double cpu_s = process_cpu_s() - cpu0;
                 if (tr != nullptr) tr->close(step_span);
                 if (!matches(got, ledger.ref[static_cast<std::size_t>(t)])) {
                     ++r.failed;
                     ++r.mismatches;
                     continue;
                 }
-                stream.latency_ms.push_back(ms);
-                stream.busy_s += ms / 1e3;
-                ++stream.positions;
-                if (ms <= kStepLimitMs) ++stream.within_limit;
+                ph.e.latency_ms.push_back(ms);
+                ph.e.busy_s += ms / 1e3;
+                ph.e.cpu_s += cpu_s;
+                ++ph.e.positions;
+                if (ms <= kStepLimitMs) ++ph.e.within_limit;
             } catch (const std::exception& ex) {
                 ++r.failed;
                 r.fact("last_error", ex.what());
@@ -242,26 +244,30 @@ void check_conservation(const DecodeSession& session, std::uint64_t steps, RunRe
 
 RunResult run_decode_stream(const Options& opt) {
     RunResult r;
-    const StreamInput input = make_input(sub_seed(opt.seed, 0));
-    const StreamInput warm = make_input(sub_seed(opt.seed, 1));
-
-    std::vector<double> setup_reps;
+    const StreamInput input = make_input(sub_seed(opt.seed, 0), kHorizon);
+    double setup_s = 0.0;
+    std::size_t setup_reps = 0;
     Setup st;
-    for (int i = 0; i < kSetupReps / 2; ++i)
-        st = timed_set_up([&] { return set_up(warm); }, setup_reps);
+    {
+        const StreamInput warm = make_input(sub_seed(opt.seed, 1), 2);
+        st = timed_set_up([&] { return set_up(warm); }, setup_s, setup_reps);
+    }
     r.fact("shape", "1 stream, 12x64, causal span 256, global token 0, horizon 1024");
 
     // References: the engine-only ledger (spanned when tracing), then the
-    // full-prefix sample.
-    const SaloEngine ref_engine{SaloConfig{}};
+    // full-prefix sample, on an engine that is gone before the window.
     Tracer ledger_tr;
-    const Ledger ledger = engine_ledger(ref_engine, input, opt.trace ? &ledger_tr : nullptr);
-    Rng pick(sub_seed(opt.seed, 7));
-    for (int t : {0, kSpan - 1, kSpan, kHorizon - 1,
-                  static_cast<int>(pick.uniform_index(static_cast<std::uint64_t>(kHorizon)))})
-        if (!check_full_prefix(ref_engine, input, ledger.ref, t))
-            r.problem("engine-only ledger differs from the full-prefix encode at position " +
-                      std::to_string(t));
+    Ledger ledger;
+    {
+        const SaloEngine ref_engine{SaloConfig{}};
+        ledger = engine_ledger(ref_engine, input, opt.trace ? &ledger_tr : nullptr);
+        Rng pick(sub_seed(opt.seed, 7));
+        for (int t : {0, kSpan - 1, kSpan, kHorizon - 1,
+                      static_cast<int>(pick.uniform_index(static_cast<std::uint64_t>(kHorizon)))})
+            if (!check_full_prefix(ref_engine, input, ledger.ref, t))
+                r.problem("engine-only ledger differs from the full-prefix encode at position " +
+                          std::to_string(t));
+    }
 
     double cycles = 0.0;
     SimStats ledger_stats;
@@ -270,23 +276,24 @@ RunResult run_decode_stream(const Options& opt) {
         ledger_stats += step.stats;
     }
 
+    // The untraced window (half of it in a traced run) gives the end-to-end
+    // metrics; a traced run then repeats it traced.
+    Phase plain;
+    plain.e.setup_s = setup_s;
+    plain.e.setup_reps = setup_reps;
+    plain.e.cycles_per_token = cycles / kHorizon;
+    plain.e.peak_reset = reset_peak_rss();
+    const CpuWindow cpu;
+    run_streams(st, input, ledger, opt.trace ? opt.seconds / 2 : opt.seconds, r, plain, nullptr);
+    const double cpu_util = cpu.utilization();
+    add_end_to_end(r, plain.e, Targets{kStepLimitMs, 99.0});
     if (!opt.trace) {
-        Phase ph;
-        run_streams(st, input, ledger, opt.seconds, r, ph, nullptr);
         st.session->drain();
-        check_conservation(*st.session, ph.steps, r);
-        for (int i = kSetupReps / 2; i < kSetupReps; ++i)
-            (void)timed_set_up([&] { return set_up(warm); }, setup_reps);
-        ph.e.setup_s = median(setup_reps);
-        ph.e.cycles_per_token = cycles / kHorizon;
-        add_end_to_end(r, ph.e, Targets{kStepLimitMs, 99.0});
+        check_conservation(*st.session, plain.steps, r);
         return r;
     }
 
-    Phase plain, traced;
-    const CpuWindow cpu;
-    run_streams(st, input, ledger, opt.seconds / 2, r, plain, nullptr);
-    const double cpu_util = cpu.utilization();
+    Phase traced;
     Tracer tr;
     run_streams(st, input, ledger, opt.seconds / 2, r, traced, &tr);
     st.session->drain();
@@ -316,7 +323,7 @@ RunResult run_decode_stream(const Options& opt) {
           "median prefix compile + micro-plan derive (one per position)");
     r.add("streaming.kv_bytes_per_step", mean(ledger.kv_bytes), "bytes", ledger.kv_bytes.size(),
           "compact K+V float bytes assembled per step, from tensor sizes");
-    const double session_p50_us = median(plain.e.latencies()) * 1e3;
+    const double session_p50_us = median(plain.e.latency_ms) * 1e3;
     r.add("decode_session.overhead_us", session_p50_us - median(ledger.engine_step_us), "us",
           plain.steps, "session step p50 minus engine-only step p50");
     const SessionStats ss = st.session->stats();
@@ -337,9 +344,9 @@ RunResult run_decode_stream(const Options& opt) {
     r.add("sim.pe_utilization", ledger_stats.activity.occupancy(), "ratio", kHorizon,
           "valid_slots / array_slots");
     r.add("process.cpu_util", cpu_util, "ratio", 1, "untraced phase");
-    const double plain_p50 = median(plain.e.latencies());
+    const double plain_p50 = median(plain.e.latency_ms);
     r.add("trace.overhead_pct",
-          plain_p50 > 0.0 ? (median(traced.e.latencies()) / plain_p50 - 1.0) * 100.0 : 0.0, "%",
+          plain_p50 > 0.0 ? (median(traced.e.latency_ms) / plain_p50 - 1.0) * 100.0 : 0.0, "%",
           traced.steps, "traced vs untraced step p50");
     return r;
 }

@@ -123,22 +123,22 @@ std::uint64_t positions_per_pass(const std::vector<Layer>& layers) {
 }
 
 /// Closed loop for `seconds`: whole passes, each checked against the
-/// references, into one slice. `tr` (optional) gets a span per pass and per
-/// engine call.
+/// references. `tr` (optional) gets a span per pass and per engine call.
 void run_passes(const SaloEngine& engine, const std::vector<Layer>& layers, double seconds,
                 RunResult& r, EndToEnd& e, Tracer* tr) {
     const auto t_end = Clock::now() + std::chrono::duration<double>(seconds);
     std::vector<LayerResult> got(layers.size());
-    Slice& passes = e.slices.emplace_back();
     do {
         const std::int64_t unit = static_cast<std::int64_t>(r.attempted);
         const int pass_span = tr != nullptr ? tr->open("pass", -1, unit) : -1;
         const auto t0 = Clock::now();
+        const double cpu0 = process_cpu_s();
         for (std::size_t i = 0; i < layers.size(); ++i) {
             const int s = tr != nullptr ? tr->open("engine.run", pass_span, unit) : -1;
             got[i] = run_layer(engine, layers[i], 0);
             if (tr != nullptr) tr->close(s);
         }
+        const double cpu_s = process_cpu_s() - cpu0;
         const double ms = ms_between(t0, Clock::now());
         if (tr != nullptr) tr->close(pass_span);
         ++r.attempted;
@@ -150,10 +150,11 @@ void run_passes(const SaloEngine& engine, const std::vector<Layer>& layers, doub
             ++r.mismatches;
             continue;
         }
-        passes.latency_ms.push_back(ms);
-        passes.busy_s += ms / 1e3;
-        passes.positions += positions_per_pass(layers);
-        if (ms <= kPassLimitMs) ++passes.within_limit;
+        e.latency_ms.push_back(ms);
+        e.busy_s += ms / 1e3;
+        e.cpu_s += cpu_s;
+        e.positions += positions_per_pass(layers);
+        if (ms <= kPassLimitMs) ++e.within_limit;
     } while (Clock::now() < t_end);
 }
 
@@ -168,10 +169,9 @@ double pass_cycles(const std::vector<Layer>& layers) {
 RunResult run_encode_paper(const Options& opt) {
     RunResult r;
     const std::vector<AttentionWorkload> shapes = paper_workloads();
-    std::vector<double> setup_reps;
-    Setup st;
-    for (int i = 0; i < kSetupReps / 2; ++i)
-        st = timed_set_up([&] { return set_up(shapes); }, setup_reps);
+    double setup_s = 0.0;
+    std::size_t setup_reps = 0;
+    const Setup st = timed_set_up([&] { return set_up(shapes); }, setup_s, setup_reps);
     const SaloEngine& engine = *st.engine;
     std::vector<Layer> layers;
     for (std::size_t i = 0; i < shapes.size(); ++i) {
@@ -182,26 +182,24 @@ RunResult run_encode_paper(const Options& opt) {
     r.fact("layers", "Longformer-Base-4096 (12x64), ViL-stage1 (3x64), ViL-stage2 (6x64)");
     r.fact("threads", std::to_string(engine.config().effective_threads()));
 
-    if (!opt.trace) {
-        EndToEnd e;
-        run_passes(engine, layers, opt.seconds, r, e, nullptr);
-        for (int i = kSetupReps / 2; i < kSetupReps; ++i)
-            (void)timed_set_up([&] { return set_up(shapes); }, setup_reps);
-        e.setup_s = median(setup_reps);
-        e.cycles_per_token =
-            pass_cycles(layers) / static_cast<double>(positions_per_pass(layers));
-        add_end_to_end(r, e, Targets{kPassLimitMs, kTailPercentile});
-        return r;
-    }
-
-    // Untraced then traced passes: the p50 difference is the tracing cost.
-    EndToEnd plain, traced;
+    // The untraced window (half of it in a traced run) gives the end-to-end
+    // metrics; a traced run then repeats it traced, and the p50 difference
+    // is the tracing cost.
+    EndToEnd plain;
+    plain.setup_s = setup_s;
+    plain.setup_reps = setup_reps;
+    plain.cycles_per_token = pass_cycles(layers) / static_cast<double>(positions_per_pass(layers));
+    plain.peak_reset = reset_peak_rss();
     const CpuWindow cpu;
-    run_passes(engine, layers, opt.seconds / 2, r, plain, nullptr);
+    run_passes(engine, layers, opt.trace ? opt.seconds / 2 : opt.seconds, r, plain, nullptr);
     const double cpu_util = cpu.utilization();
+    add_end_to_end(r, plain, Targets{kPassLimitMs, kTailPercentile});
+    if (!opt.trace) return r;
+
+    EndToEnd traced;
     Tracer tr;
     run_passes(engine, layers, opt.seconds / 2, r, traced, &tr);
-    const double run_nt_ms = median(plain.latencies());
+    const double run_nt_ms = median(plain.latency_ms);
 
     // 1-thread passes, then the stage replay, both untraced by the engine.
     std::vector<double> run_1t;
@@ -241,7 +239,7 @@ RunResult run_encode_paper(const Options& opt) {
     }
     const double run_1t_ms = median(run_1t);
     r.add("engine.run_1t_ms", run_1t_ms, "ms", run_1t.size());
-    r.add("engine.run_nt_ms", run_nt_ms, "ms", plain.latencies().size());
+    r.add("engine.run_nt_ms", run_nt_ms, "ms", plain.latency_ms.size());
     r.add("engine.parallel_speedup", run_nt_ms > 0.0 ? run_1t_ms / run_nt_ms : 0.0, "x",
           run_1t.size(), "run_1t_ms / run_nt_ms");
     r.add("engine.overhead_ms", run_1t_ms - stage_sum, "ms", run_1t.size(),
@@ -270,9 +268,9 @@ RunResult run_encode_paper(const Options& opt) {
     r.add("sim.pe_utilization", pass.activity.occupancy(), "ratio", 1,
           "valid_slots / array_slots");
     r.add("process.cpu_util", cpu_util, "ratio", 1, "untraced passes");
-    const double traced_p50 = median(traced.latencies());
+    const double traced_p50 = median(traced.latency_ms);
     r.add("trace.overhead_pct", run_nt_ms > 0.0 ? (traced_p50 / run_nt_ms - 1.0) * 100.0 : 0.0,
-          "%", traced.latencies().size(), "traced vs untraced pass p50");
+          "%", traced.latency_ms.size(), "traced vs untraced pass p50");
     return r;
 }
 

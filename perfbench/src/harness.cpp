@@ -2,24 +2,55 @@
 
 #include <sys/resource.h>
 
+#include <ctime>
 #include <fstream>
 #include <thread>
 
 namespace perfbench {
 
 double process_cpu_s() {
-    rusage ru{};
-    getrusage(RUSAGE_SELF, &ru);
-    const auto secs = [](const timeval& tv) {
-        return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) / 1e6;
-    };
-    return secs(ru.ru_utime) + secs(ru.ru_stime);
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
+double thread_cpu_s() {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
+bool reset_peak_rss() {
+    std::ofstream out("/proc/self/clear_refs");
+    out << "5";  // 5: reset the peak RSS to the current RSS
+    out.flush();
+    return static_cast<bool>(out);
 }
 
 double peak_rss_mb() {
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;  // KiB
     rusage ru{};
     getrusage(RUSAGE_SELF, &ru);
-    return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is KiB on Linux
+    return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
+HostTicks host_ticks() {
+    std::ifstream in("/proc/stat");
+    std::string cpu;
+    in >> cpu;
+    HostTicks t;
+    if (cpu != "cpu") return t;
+    // user nice system idle iowait irq softirq steal
+    for (int field = 0; field < 8; ++field) {
+        std::uint64_t v = 0;
+        if (!(in >> v)) return HostTicks{};
+        t.total += v;
+        if (field == 7) t.steal = v;
+    }
+    return t;
 }
 
 std::string cpu_model() {
@@ -51,54 +82,33 @@ bool write_trace(const std::string& path, const std::vector<Span>& spans) {
     return static_cast<bool>(out);
 }
 
-/// Percentile `p` per slice and the median over slices, when every slice
-/// supports it; otherwise percentile_or_max of the pooled sample. `how`
-/// says which.
-double sliced_percentile(const EndToEnd& e, double p, std::string& how) {
-    std::vector<double> per_slice;
-    for (const Slice& s : e.slices) {
-        const auto v = percentile(s.latency_ms, p);
-        if (!v) break;
-        per_slice.push_back(v->value);
-    }
-    if (e.slices.size() > 1 && per_slice.size() == e.slices.size()) {
-        how = "per slice, median over " + std::to_string(per_slice.size()) + " slices";
-        return median(per_slice);
-    }
-    const double pooled = percentile_or_max(e.latencies(), p, how);
-    if (how.empty()) how = "pooled over the run";
-    return pooled;
-}
-
 void add_end_to_end(RunResult& r, const EndToEnd& e, const Targets& targets) {
-    const std::vector<double> all = e.latencies();
-    const std::size_t n = all.size();
-    std::uint64_t positions = 0, within_limit = 0;
-    double busy_s = 0.0;
-    for (const Slice& s : e.slices) {
-        positions += s.positions;
-        within_limit += s.within_limit;
-        busy_s += s.busy_s;
-    }
-    r.add("tokens_per_s", busy_s > 0.0 ? static_cast<double>(positions) / busy_s : 0.0,
+    const std::size_t n = e.latency_ms.size();
+    r.add("cpu_ms_per_token",
+          e.positions > 0 ? e.cpu_s * 1e3 / static_cast<double>(e.positions) : 0.0, "ms", n,
+          "process CPU time spent in library calls per position completed");
+    r.add("tokens_per_s", e.busy_s > 0.0 ? static_cast<double>(e.positions) / e.busy_s : 0.0,
           "tok/s", n);
-    r.add("latency_ms_p50", median(all), "ms", n);
+    r.add("latency_ms_p50", median(e.latency_ms), "ms", n);
     std::string tail_name = "p";
     tail_name += std::to_string(static_cast<int>(targets.tail_percentile));
     std::string how;
-    const double tail = sliced_percentile(e, targets.tail_percentile, how);
-    r.add("latency_ms_tail", tail, "ms", n, tail_name + ", " + how);
+    const double tail = percentile_or_max(e.latency_ms, targets.tail_percentile, how);
+    r.add("latency_ms_tail", tail, "ms", n, how.empty() ? tail_name : tail_name + ": " + how);
     r.fact("tail_percentile", tail_name);
-    r.add("goodput_rps", busy_s > 0.0 ? static_cast<double>(within_limit) / busy_s : 0.0, "1/s",
-          n, "units within " + std::to_string(targets.latency_limit_ms) + " ms per second");
+    r.add("goodput_rps", e.busy_s > 0.0 ? static_cast<double>(e.within_limit) / e.busy_s : 0.0,
+          "1/s", n, "units within " + std::to_string(targets.latency_limit_ms) + " ms per second");
     r.add("success_rate",
           r.attempted == 0 ? 0.0
                            : static_cast<double>(r.attempted - r.failed) /
                                  static_cast<double>(r.attempted),
           "ratio", r.attempted, "1 - error_rate");
     r.add("sim_cycles_per_token", e.cycles_per_token, "cycles/tok", n);
-    r.add("setup_s", e.setup_s, "s", kSetupReps, "median of set-up repetitions");
-    r.add("peak_rss_mb", peak_rss_mb(), "MiB", 1);
+    r.add("setup_s", e.setup_s, "s", e.setup_reps,
+          "median process CPU time of back-to-back set-ups");
+    r.add("peak_rss_mb", peak_rss_mb(), "MiB", 1,
+          e.peak_reset ? "VmHWM, reset after the references were built"
+                       : "VmHWM of the whole process (peak reset unsupported)");
     r.fact("latency_limit_ms", std::to_string(targets.latency_limit_ms));
     r.fact("error_rate", r.attempted == 0 ? "0"
                                           : std::to_string(static_cast<double>(r.failed) /

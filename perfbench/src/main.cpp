@@ -87,9 +87,11 @@ int main(int argc, char** argv) {
         }
     }
     if (!have_workload) return usage("--workload is required");
+    if (opt.seconds == 0.0) return usage("--seconds is required");
     if (!(opt.seconds > 0.0 && opt.seconds <= 60.0)) return usage("--seconds must be in (0, 60]");
 
     RunResult r;
+    const HostTicks ticks0 = host_ticks();
     try {
         if (opt.workload == "encode-paper") {
             r = run_encode_paper(opt);
@@ -105,13 +107,21 @@ int main(int argc, char** argv) {
         return 1;
     }
 
+    const HostTicks ticks1 = host_ticks();
+    const double steal_share =
+        ticks1.total > ticks0.total
+            ? static_cast<double>(ticks1.steal - ticks0.steal) /
+                  static_cast<double>(ticks1.total - ticks0.total)
+            : 0.0;
+
     std::ostringstream out;
     out << "{\"workload\":" << json_str(opt.workload) << ",\"seed\":" << opt.seed
         << ",\"seconds\":" << json_num(opt.seconds) << ",\"trace\":" << (opt.trace ? 1 : 0)
         << ",\"provenance\":{\"isa\":" << json_str(salo::kernels::isa_name())
         << ",\"hardware_threads\":" << hardware_threads()
         << ",\"cpu_model\":" << json_str(cpu_model())
-        << ",\"compiler\":" << json_str(std::string("g++ ") + __VERSION__) << "}"
+        << ",\"compiler\":" << json_str(std::string("g++ ") + __VERSION__)
+        << ",\"host_steal_share\":" << json_num(steal_share) << "}"
         << ",\"correct\":" << (r.correct() ? "true" : "false")
         << ",\"attempted\":" << r.attempted << ",\"failed\":" << r.failed
         << ",\"mismatches\":" << r.mismatches << ",\"problems\":[";

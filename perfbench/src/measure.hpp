@@ -105,7 +105,7 @@ struct Span {
 };
 
 /// In-memory span recorder. Thread-safe: the open-loop generator and the
-/// completion collector record into one tracer. Spans are written out only
+/// completion waiters record into one tracer. Spans are written out only
 /// after the run (see write_trace in the workloads).
 class Tracer {
 public:

@@ -1,16 +1,14 @@
 // serve-mixed: open-loop Poisson arrivals at a fixed offered rate into a
-// default ShardedSession (2 shards), from three equal-weight tenants.
+// ShardedSession with default options (2 shards) and one engine thread per
+// shard, from three equal-weight tenants.
 //
-// The request mix is a fixed multiset per run — Longformer-family encode
-// layers in three length buckets, ViL-stage2, and 10% single-head requests
-// whose length has not been seen before (a scheduler compile on the request
-// path) — so
-// only arrival times, order, tenant/priority placement and Q/K/V values
-// depend on the seed, and the simulated cycle total repeats exactly.
-// Latency counts from each request's due time. Every completed response is
-// checked against a standalone 1-thread engine run of the same request made
-// during set-up, and the session and per-tenant conservation laws are
-// checked at the end.
+// The traffic is synthetic; no trace of real traffic was available. The
+// request multiset of a run is fixed (see known_shapes): only arrival times,
+// order, tenant/priority placement and Q/K/V values depend on the seed, so
+// the simulated cycle total repeats exactly. Latency counts from each
+// request's due time. Every completed response is checked against a
+// standalone 1-thread engine run of the same request made during set-up,
+// and the session and per-tenant conservation laws are checked at the end.
 #include <condition_variable>
 #include <deque>
 #include <exception>
@@ -27,26 +25,57 @@ namespace {
 
 using namespace salo;
 
-constexpr double kOfferedRps = 200.0;
+/// Offered rate: process CPU utilization is about 0.2 on the reference
+/// host, so a host slowdown of 1.5x still leaves the shards far from
+/// saturation, and a 30-second run sends 3000 requests (30 beyond its p99).
+constexpr double kOfferedRps = 100.0;
 constexpr double kLimitMs = 100.0;
-/// Slices per phase: consecutive runs of requests in due-time order, each
-/// large enough (1500 requests in a 30-second run) to support its own p99.
-constexpr std::size_t kWindows = 4;
 constexpr int kVariants = 4;  ///< seeded Q/K/V sets per known shape
+/// Threads that wait on the in-flight futures. Each blocks on one future,
+/// so completions are stamped without polling while fewer requests than
+/// this are in flight.
+constexpr int kWaiters = 8;
 const char* const kTenants[3] = {"tenant-a", "tenant-b", "tenant-c"};
 
-/// Known shapes: the three Longformer-family buckets and ViL-stage2, with
-/// the share of requests each gets (the rest are novel-length requests).
+/// Longformer-family requests keep Longformer's structure (a sliding band
+/// plus a global token) at 2 heads x 64 and a 2x128+1 band, so one request
+/// costs milliseconds and a run holds enough requests for a p99; at the
+/// same utilization the full 12-head layer would allow ~10 requests per
+/// second.
+AttentionWorkload longformer_request(int n) { return longformer_small(n, 128, 2, 64, 1); }
+
+/// Share of requests whose length was never seen before (n = 257, 258,
+/// ..., skipping the bucket lengths); each forces a scheduler compile on
+/// the request path.
+constexpr double kNovelShare = 0.10;
+
 struct KnownShape {
     AttentionWorkload shape;
     double share;
 };
 
+/// The known shapes and their shares. In cost order the classes are
+/// n = 256 (20 %), novel (10 %), n = 512 (40 %), n = 1024 (20 %) and
+/// ViL-stage2 (10 %), so the median falls inside the n = 512 class (the
+/// 30-70 % band) and the p99 inside ViL-stage2 (90-100 %). Neither
+/// percentile then sits on a class boundary, where it would jump between
+/// two classes' latencies from run to run.
 std::vector<KnownShape> known_shapes() {
-    return {{longformer_small(256, 128, 2, 64, 1), 0.40},
-            {longformer_small(512, 128, 2, 64, 1), 0.25},
-            {longformer_small(1024, 128, 2, 64, 1), 0.20},
-            {vil_stage2(), 0.05}};
+    return {{longformer_request(256), 0.20},
+            {longformer_request(512), 0.40},
+            {longformer_request(1024), 0.20},
+            {vil_stage2(), 0.10}};
+}
+
+/// One engine thread per shard: every request runs sequentially on the
+/// router worker that carries it, so its service time does not depend on
+/// whether its shard is otherwise idle (the default gives a lone request
+/// the shard's whole pool, and two 4-thread shard pools oversubscribe the
+/// host's 4 threads). Tile-parallel execution therefore does no work here.
+SaloConfig shard_config() {
+    SaloConfig config;
+    config.num_threads = 1;
+    return config;
 }
 
 /// A request's inputs and its standalone reference.
@@ -72,22 +101,28 @@ struct Plan {
 };
 
 /// Build every phase's request list and all references. Novel lengths are
-/// 257, 258, ... in request order, skipping the bucket lengths.
-Plan make_plan(std::uint64_t seed, const std::vector<double>& phase_seconds) {
+/// 257, 258, ... in request order, skipping the bucket lengths. With
+/// `time_engine`, each reference is run a second time, warm, and that run
+/// timed as the request's standalone engine time.
+Plan make_plan(std::uint64_t seed, const std::vector<double>& phase_seconds, bool time_engine) {
     Plan plan;
     const std::vector<KnownShape> shapes = known_shapes();
-    const SaloEngine ref_engine{SaloConfig{}};
+    const SaloEngine ref_engine{shard_config()};
     RunOptions one_thread;
     one_thread.thread_budget = 1;
     auto prepare = [&](const AttentionWorkload& w, std::uint64_t s, bool novel) {
         Prepared p{w, make_qkv(w, s), {}, 0.0, 0.0};
         const auto t0 = Clock::now();
         const CompiledPlanPtr compiled = compile_shared(w.pattern, w.head_dim, ref_engine.config());
-        const auto t1 = Clock::now();
+        if (novel) p.compile_ms = ms_between(t0, Clock::now());
         p.reference = ref_engine.run(*compiled, p.input.q, p.input.k, p.input.v, w.scale(),
                                      one_thread);
-        p.engine_ms = ms_between(t1, Clock::now());
-        if (novel) p.compile_ms = ms_between(t0, t1);
+        if (time_engine) {
+            const auto t1 = Clock::now();
+            (void)ref_engine.run(*compiled, p.input.q, p.input.k, p.input.v, w.scale(),
+                                 one_thread);
+            p.engine_ms = ms_between(t1, Clock::now());
+        }
         plan.prepared.push_back(std::move(p));
     };
     for (std::size_t i = 0; i < shapes.size(); ++i)
@@ -100,7 +135,8 @@ Plan make_plan(std::uint64_t seed, const std::vector<double>& phase_seconds) {
         Rng rng(sub_seed(seed, 1000 + ph));
         const auto count = static_cast<std::size_t>(std::llround(kOfferedRps * phase_seconds[ph]));
         std::vector<Request> reqs;
-        const std::size_t novel = count / 10;
+        const auto novel =
+            static_cast<std::size_t>(std::llround(kNovelShare * static_cast<double>(count)));
         for (std::size_t i = 0; i < shapes.size(); ++i) {
             const auto k = static_cast<std::size_t>(std::llround(shapes[i].share * static_cast<double>(count)));
             for (std::size_t j = 0; j < k && reqs.size() + novel < count; ++j)
@@ -109,7 +145,7 @@ Plan make_plan(std::uint64_t seed, const std::vector<double>& phase_seconds) {
         while (reqs.size() < count) {
             for (const KnownShape& k : shapes)
                 if (k.shape.n() == novel_n) ++novel_n;
-            prepare(longformer_small(novel_n, 128, 1, 64, 1),
+            prepare(longformer_request(novel_n),
                     sub_seed(seed, 5000 + static_cast<std::uint64_t>(novel_n)), true);
             ++novel_n;
             reqs.push_back(Request{plan.prepared.size() - 1, true});
@@ -136,7 +172,7 @@ Plan make_plan(std::uint64_t seed, const std::vector<double>& phase_seconds) {
 /// One set-up: session construction plus the known-shape compiles on every
 /// shard.
 std::unique_ptr<ShardedSession> set_up() {
-    auto session = std::make_unique<ShardedSession>(SaloConfig{});
+    auto session = std::make_unique<ShardedSession>(shard_config());
     for (int s = 0; s < session->num_shards(); ++s)
         for (const KnownShape& k : known_shapes())
             (void)session->shard_engine(s).compile(k.shape.pattern, k.shape.head_dim);
@@ -152,12 +188,14 @@ struct Outcome {
 struct PhaseResult {
     std::vector<Outcome> outcomes;
     std::vector<double> submit_us;
+    /// Process CPU seconds of the phase, less what the benchmark's own
+    /// threads spent outside submit() (building requests, verifying).
+    double library_cpu_s = 0.0;
 };
 
 /// Open loop over one phase: the generator sleeps until each due time and
-/// submits; a collector thread stamps completions (the oldest outstanding
-/// future is waited on directly, the rest are polled every 200 us) and
-/// verifies them.
+/// submits; kWaiters threads take the in-flight futures in submit order,
+/// each blocking on one, and stamp and verify its completion.
 PhaseResult run_phase(ShardedSession& session, const Plan& plan, const std::vector<Request>& reqs,
                       RunResult& r, Tracer* tr) {
     PhaseResult out;
@@ -170,53 +208,47 @@ PhaseResult run_phase(ShardedSession& session, const Plan& plan, const std::vect
     std::condition_variable cv;
     std::deque<InFlight> incoming;
     bool closed = false;
+    double waiters_cpu_s = 0.0;  // guarded by m
 
-    auto finish = [&](InFlight& fl) {
-        Outcome& o = out.outcomes[fl.idx];
-        o.stamp.done = Clock::now();
-        try {
-            const LayerResult got = fl.f.get();
-            const Prepared& p = plan.prepared[reqs[fl.idx].prepared];
-            o.ok = bit_equal(got.output, p.reference.output) &&
-                   stats_equal(got.stats, p.reference.stats);
-        } catch (const std::exception&) {
-            o.errored = true;
-        }
-        if (tr != nullptr)
-            tr->record("request", -1, static_cast<std::int64_t>(fl.idx), tr->ns_of(o.stamp.due),
-                       tr->ns_of(o.stamp.done));
-    };
-    std::thread collector([&] {
-        std::vector<InFlight> pending;
+    auto wait_loop = [&] {
+        const double cpu0 = thread_cpu_s();
         for (;;) {
+            InFlight fl;
             {
                 std::unique_lock<std::mutex> lock(m);
-                if (pending.empty())
-                    cv.wait(lock, [&] { return closed || !incoming.empty(); });
-                while (!incoming.empty()) {
-                    pending.push_back(std::move(incoming.front()));
-                    incoming.pop_front();
+                cv.wait(lock, [&] { return closed || !incoming.empty(); });
+                if (incoming.empty()) {
+                    waiters_cpu_s += thread_cpu_s() - cpu0;
+                    return;
                 }
-                if (pending.empty() && closed) return;
+                fl = std::move(incoming.front());
+                incoming.pop_front();
             }
-            bool progressed = false;
-            for (std::size_t i = 0; i < pending.size();) {
-                if (pending[i].f.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-                    finish(pending[i]);
-                    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-                    progressed = true;
-                } else {
-                    ++i;
-                }
+            fl.f.wait();
+            Outcome& o = out.outcomes[fl.idx];
+            o.stamp.done = Clock::now();
+            try {
+                const LayerResult got = fl.f.get();
+                const Prepared& p = plan.prepared[reqs[fl.idx].prepared];
+                o.ok = bit_equal(got.output, p.reference.output) &&
+                       stats_equal(got.stats, p.reference.stats);
+            } catch (const std::exception&) {
+                o.errored = true;
             }
-            if (!progressed && !pending.empty())
-                pending.front().f.wait_for(std::chrono::microseconds(200));
+            if (tr != nullptr)
+                tr->record("request", -1, static_cast<std::int64_t>(fl.idx),
+                           tr->ns_of(o.stamp.due), tr->ns_of(o.stamp.done));
         }
-    });
+    };
+    std::vector<std::thread> waiters;
+    for (int i = 0; i < kWaiters; ++i) waiters.emplace_back(wait_loop);
 
-    // The collector is joined on every path, so a throw from the generator
-    // never leaves it running against destroyed state.
+    // The waiters are joined on every path, so a throw from the generator
+    // never leaves them running against destroyed state.
     std::exception_ptr generator_error;
+    const double phase_cpu0 = process_cpu_s();
+    const double generator_cpu0 = thread_cpu_s();
+    double submit_cpu_s = 0.0;
     try {
         const Clock::time_point start = Clock::now();
         for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -232,8 +264,10 @@ PhaseResult run_phase(ShardedSession& session, const Plan& plan, const std::vect
             std::this_thread::sleep_until(stamp.due);
             stamp.sent = Clock::now();
             std::future<LayerResult> f;
+            const double submit_cpu0 = thread_cpu_s();
             try {
                 f = session.submit(std::move(req));
+                submit_cpu_s += thread_cpu_s() - submit_cpu0;
             } catch (const std::exception& ex) {
                 r.fact("last_error", ex.what());
                 out.outcomes[i].errored = true;
@@ -257,42 +291,36 @@ PhaseResult run_phase(ShardedSession& session, const Plan& plan, const std::vect
         std::lock_guard<std::mutex> lock(m);
         closed = true;
     }
-    cv.notify_one();
-    collector.join();
+    cv.notify_all();
+    for (std::thread& t : waiters) t.join();
+    const double generator_cpu_s = thread_cpu_s() - generator_cpu0 - submit_cpu_s;
+    out.library_cpu_s = process_cpu_s() - phase_cpu0 - generator_cpu_s - waiters_cpu_s;
     if (generator_error) std::rethrow_exception(generator_error);
     return out;
 }
 
-/// Fold one phase into `e`, kWindows slices of consecutive requests. A
-/// window is busy from its first due time to the next window's first due
-/// time (the last window: to the phase's last completion), so the windows
-/// tile the phase.
+/// Fold one phase into `e`. The phase is busy from its first due time to
+/// its last completion.
 void tally(const Plan& plan, const std::vector<Request>& reqs, const PhaseResult& ph,
            RunResult& r, EndToEnd& e) {
     Clock::time_point last_done = ph.outcomes.front().stamp.due;
-    for (const Outcome& o : ph.outcomes) last_done = std::max(last_done, o.stamp.done);
-    const std::size_t per_window = (reqs.size() + kWindows - 1) / kWindows;
-    for (std::size_t lo = 0; lo < reqs.size(); lo += per_window) {
-        const std::size_t hi = std::min(reqs.size(), lo + per_window);
-        Slice& slice = e.slices.emplace_back();
-        for (std::size_t i = lo; i < hi; ++i) {
-            ++r.attempted;
-            const Outcome& o = ph.outcomes[i];
-            if (!o.ok) {
-                ++r.failed;
-                if (!o.errored) ++r.mismatches;
-                continue;
-            }
-            const Prepared& p = plan.prepared[reqs[i].prepared];
-            const double ms = o.stamp.latency_ms();
-            slice.latency_ms.push_back(ms);
-            slice.positions += static_cast<std::uint64_t>(p.shape.n());
-            e.cycles_per_token += static_cast<double>(p.reference.stats.cycles);
-            if (ms <= kLimitMs) ++slice.within_limit;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        ++r.attempted;
+        const Outcome& o = ph.outcomes[i];
+        last_done = std::max(last_done, o.stamp.done);
+        if (!o.ok) {
+            ++r.failed;
+            if (!o.errored) ++r.mismatches;
+            continue;
         }
-        const Clock::time_point end = hi < reqs.size() ? ph.outcomes[hi].stamp.due : last_done;
-        slice.busy_s = ms_between(ph.outcomes[lo].stamp.due, end) / 1e3;
+        const Prepared& p = plan.prepared[reqs[i].prepared];
+        const double ms = o.stamp.latency_ms();
+        e.latency_ms.push_back(ms);
+        e.positions += static_cast<std::uint64_t>(p.shape.n());
+        e.cycles_per_token += static_cast<double>(p.reference.stats.cycles);
+        if (ms <= kLimitMs) ++e.within_limit;
     }
+    e.busy_s = ms_between(ph.outcomes.front().stamp.due, last_done) / 1e3;
 }
 
 void check_conservation(const ShardedSession& session, std::uint64_t submitted, RunResult& r) {
@@ -319,34 +347,36 @@ RunResult run_serve_mixed(const Options& opt) {
     const std::vector<double> phases =
         opt.trace ? std::vector<double>{opt.seconds / 2, opt.seconds}
                   : std::vector<double>{opt.seconds};
-    std::vector<double> setup_reps;
-    std::unique_ptr<ShardedSession> session;
-    for (int i = 0; i < kSetupReps / 2; ++i) session = timed_set_up(set_up, setup_reps);
-    const Plan plan = make_plan(opt.seed, phases);
+    double setup_s = 0.0;
+    std::size_t setup_reps = 0;
+    const std::unique_ptr<ShardedSession> session = timed_set_up(set_up, setup_s, setup_reps);
+    const Plan plan = make_plan(opt.seed, phases, opt.trace);
     r.fact("offered_rps", std::to_string(kOfferedRps));
     r.fact("shards", std::to_string(session->num_shards()));
-    r.fact("mix", "Longformer 2x64 w128 n=256/512/1024 (40/25/20%), ViL-stage2 (5%), "
-                  "novel-length Longformer 1x64 n>=257 (10%); 3 tenants, 25% batch priority");
+    r.fact("mix", "Longformer-family 2x64, band 2x128+1, 1 global: n=256 20%, novel n>=257 "
+                  "10%, n=512 40%, n=1024 20%; ViL-stage2 10%; 3 tenants, 25% batch priority");
 
-    std::uint64_t submitted = 0;
+    // The untraced phase gives the end-to-end metrics; a traced run then
+    // sends a second phase traced.
     EndToEnd plain;
+    plain.setup_s = setup_s;
+    plain.setup_reps = setup_reps;
+    plain.peak_reset = reset_peak_rss();
     const CpuWindow cpu;
     const PhaseResult first = run_phase(*session, plan, plan.phases[0], r, nullptr);
+    plain.cpu_s = first.library_cpu_s;
     const double cpu_util = cpu.utilization();
     tally(plan, plan.phases[0], first, r, plain);
-    submitted += plan.phases[0].size();
+    std::uint64_t submitted = plan.phases[0].size();
+    plain.cycles_per_token /= static_cast<double>(std::max<std::uint64_t>(1, plain.positions));
+    add_end_to_end(r, plain, Targets{kLimitMs, 99.0});
+    std::vector<double> lag;
+    for (const Outcome& o : first.outcomes) lag.push_back(o.stamp.lag_ms());
+    r.fact("gen_lag_ms_max", std::to_string(*std::max_element(lag.begin(), lag.end())));
+    r.fact("cpu_util", std::to_string(cpu_util));
     if (!opt.trace) {
         session->drain();
         check_conservation(*session, submitted, r);
-        for (int i = kSetupReps / 2; i < kSetupReps; ++i) (void)timed_set_up(set_up, setup_reps);
-        plain.setup_s = median(setup_reps);
-        std::uint64_t positions = 0;
-        for (const Slice& w : plain.slices) positions += w.positions;
-        plain.cycles_per_token /= static_cast<double>(std::max<std::uint64_t>(1, positions));
-        add_end_to_end(r, plain, Targets{kLimitMs, 99.0});
-        std::vector<double> lag;
-        for (const Outcome& o : first.outcomes) lag.push_back(o.stamp.lag_ms());
-        r.fact("gen_lag_ms_max", std::to_string(*std::max_element(lag.begin(), lag.end())));
         return r;
     }
 
@@ -375,7 +405,7 @@ RunResult run_serve_mixed(const Options& opt) {
         by_tenant[reqs[i].tenant].push_back(o.stamp.latency_ms());
     }
     r.add("engine.request_ms", mean(engine_ms), "ms", engine_ms.size(),
-          "mean standalone 1-thread run of each request");
+          "mean warm standalone 1-thread run of each request");
     add_percentile(r, "session.overhead_ms_p50", overhead_ms, 50.0, "ms");
     add_percentile(r, "session.overhead_ms_p99", overhead_ms, 99.0, "ms");
     const SessionStats ss = session->stats();
@@ -407,9 +437,9 @@ RunResult run_serve_mixed(const Options& opt) {
     r.add("sim.pe_utilization", all.activity.occupancy(), "ratio", counted,
           "valid_slots / array_slots");
     r.add("process.cpu_util", cpu_util, "ratio", 1, "untraced phase");
-    const double plain_p50 = median(plain.latencies());
+    const double plain_p50 = median(plain.latency_ms);
     r.add("trace.overhead_pct",
-          plain_p50 > 0.0 ? (median(traced_e.latencies()) / plain_p50 - 1.0) * 100.0 : 0.0, "%",
+          plain_p50 > 0.0 ? (median(traced_e.latency_ms) / plain_p50 - 1.0) * 100.0 : 0.0, "%",
           reqs.size(), "traced vs untraced request p50");
     return r;
 }

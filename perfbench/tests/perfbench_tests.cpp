@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <thread>
 
 #include "harness.hpp"
@@ -70,6 +71,43 @@ TEST(OpenLoop, PoissonOffsetsAreSeededSortedAndExactCount) {
     EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
     EXPECT_GE(a.front(), 0.0);
     EXPECT_LT(a.back(), 10.0);
+}
+
+TEST(SetUp, KeepsOneSetUpAliveAndReportsTheMedian) {
+    struct Probe {
+        static int& live() {
+            static int n = 0;
+            return n;
+        }
+        std::unique_ptr<int> token;
+        Probe() = default;
+        explicit Probe(int id) : token(std::make_unique<int>(id)) { ++live(); }
+        Probe(Probe&& o) noexcept : token(std::move(o.token)) {}
+        Probe& operator=(Probe&& o) noexcept {
+            if (token) --live();
+            token = std::move(o.token);
+            return *this;
+        }
+        ~Probe() {
+            if (token) --live();
+        }
+    };
+    int made = 0;
+    int most_alive = 0;
+    double setup_s = -1.0;
+    std::size_t reps = 0;
+    const Probe kept = timed_set_up(
+        [&] {
+            most_alive = std::max(most_alive, Probe::live());
+            return Probe(++made);
+        },
+        setup_s, reps);
+    EXPECT_GE(reps, kSetupMinReps);
+    EXPECT_EQ(static_cast<std::size_t>(made), reps);
+    EXPECT_EQ(*kept.token, made);  // the last set-up is the one kept
+    EXPECT_EQ(most_alive, 0);            // the previous one was gone first
+    EXPECT_GE(setup_s, 0.0);
+    EXPECT_LT(setup_s, 1.0);
 }
 
 TEST(Spans, SelfTimeSubtractsUnionOfDirectChildren) {

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "numeric/quantize.hpp"
 
 namespace salo {
 
@@ -23,11 +25,17 @@ DecodeState::DecodeState(int heads, int head_dim, int window_span,
     std::sort(globals_.begin(), globals_.end());
     globals_.erase(std::unique(globals_.begin(), globals_.end()), globals_.end());
     for (int g : globals_) SALO_EXPECTS(g >= 0);
-    k_ring_ = Tensor3<float>(heads_, span_, head_dim_);
-    v_ring_ = Tensor3<float>(heads_, span_, head_dim_);
-    const int ng = static_cast<int>(globals_.size());
-    k_pin_ = Tensor3<float>(heads_, ng, head_dim_);
-    v_pin_ = Tensor3<float>(heads_, ng, head_dim_);
+    const auto init = [&](auto& rows) {
+        rows.ring.resize(static_cast<std::size_t>(heads_));
+        rows.pin.resize(static_cast<std::size_t>(heads_));
+        // Capacity only: the memory is touched as rows arrive.
+        for (auto& ring : rows.ring)
+            ring.reserve(static_cast<std::size_t>(span_) * static_cast<std::size_t>(head_dim_));
+    };
+    init(k_);
+    init(v_);
+    init(kq_);
+    init(vq_);
 }
 
 int DecodeState::window_lo() const { return std::max(0, length_ - span_); }
@@ -39,23 +47,31 @@ int DecodeState::num_pinned() const {
 
 int DecodeState::compact_rows() const { return num_pinned() + (length_ - window_lo()); }
 
+template <typename T>
+void DecodeState::store(RowStore<T>& rows, const Matrix<T>& row, bool is_global) {
+    const int slot = length_ % span_;  // overwriting = window-boundary eviction
+    for (int h = 0; h < heads_; ++h) {
+        const std::span<const T> src = row.row(h);
+        std::vector<T>& ring = rows.ring[static_cast<std::size_t>(h)];
+        if (length_ < span_)
+            ring.insert(ring.end(), src.begin(), src.end());
+        else
+            std::ranges::copy(src, ring.begin() + static_cast<std::ptrdiff_t>(slot) *
+                                                       head_dim_);
+        // Globals arrive in ascending order, so pins append in order too.
+        std::vector<T>& pin = rows.pin[static_cast<std::size_t>(h)];
+        if (is_global) pin.insert(pin.end(), src.begin(), src.end());
+    }
+}
+
 void DecodeState::append(const Matrix<float>& k_row, const Matrix<float>& v_row) {
     SALO_EXPECTS(k_row.rows() == heads_ && k_row.cols() == head_dim_);
     SALO_EXPECTS(v_row.rows() == heads_ && v_row.cols() == head_dim_);
-    const int slot = length_ % span_;  // overwriting = window-boundary eviction
-    const auto pin = std::lower_bound(globals_.begin(), globals_.end(), length_);
-    const bool is_global = pin != globals_.end() && *pin == length_;
-    const int pin_idx = static_cast<int>(pin - globals_.begin());
-    for (int h = 0; h < heads_; ++h) {
-        for (int t = 0; t < head_dim_; ++t) {
-            k_ring_[h](slot, t) = k_row(h, t);
-            v_ring_[h](slot, t) = v_row(h, t);
-            if (is_global) {
-                k_pin_[h](pin_idx, t) = k_row(h, t);
-                v_pin_[h](pin_idx, t) = v_row(h, t);
-            }
-        }
-    }
+    const bool is_global = std::binary_search(globals_.begin(), globals_.end(), length_);
+    store(k_, k_row, is_global);
+    store(v_, v_row, is_global);
+    store(kq_, quantize<InputFx>(k_row), is_global);
+    store(vq_, quantize<InputFx>(v_row), is_global);
     ++length_;
 }
 
@@ -68,29 +84,39 @@ int DecodeState::compact_index(int j) const {
     return static_cast<int>(pin - globals_.begin());
 }
 
-std::pair<Tensor3<float>, Tensor3<float>> DecodeState::assemble() const {
+template <typename T>
+Tensor3<T> DecodeState::assemble_rows(const RowStore<T>& rows) const {
     const int np = num_pinned();
     const int lo = window_lo();
-    const int rows = compact_rows();
-    Tensor3<float> k(heads_, rows, head_dim_);
-    Tensor3<float> v(heads_, rows, head_dim_);
+    // The window lo..L-1 is at most two contiguous slot runs: from slot
+    // lo % span up to the end of the ring, then wrapped around from slot 0.
+    const int live = length_ - lo;
+    const int first = lo % span_;
+    const int run1 = std::min(live, span_ - first);
+    const auto d = static_cast<std::size_t>(head_dim_);
+    Tensor3<T> out(heads_, np + live, head_dim_);
     for (int h = 0; h < heads_; ++h) {
-        for (int p = 0; p < np; ++p) {
-            for (int t = 0; t < head_dim_; ++t) {
-                k[h](p, t) = k_pin_[h](p, t);
-                v[h](p, t) = v_pin_[h](p, t);
-            }
-        }
-        for (int j = lo; j < length_; ++j) {
-            const int slot = j % span_;
-            const int r = np + (j - lo);
-            for (int t = 0; t < head_dim_; ++t) {
-                k[h](r, t) = k_ring_[h](slot, t);
-                v[h](r, t) = v_ring_[h](slot, t);
-            }
-        }
+        T* dst = out[h].data().data();
+        const auto copy_rows = [&](const std::vector<T>& from, int row, int count) {
+            if (count == 0) return;  // `from` may not be allocated yet
+            const std::size_t n = static_cast<std::size_t>(count) * d;
+            std::memcpy(dst, from.data() + static_cast<std::size_t>(row) * d, n * sizeof(T));
+            dst += n;
+        };
+        copy_rows(rows.pin[static_cast<std::size_t>(h)], 0, np);
+        copy_rows(rows.ring[static_cast<std::size_t>(h)], first, run1);
+        copy_rows(rows.ring[static_cast<std::size_t>(h)], 0, live - run1);
     }
-    return {std::move(k), std::move(v)};
+    return out;
+}
+
+std::pair<Tensor3<float>, Tensor3<float>> DecodeState::assemble() const {
+    return {assemble_rows(k_), assemble_rows(v_)};
+}
+
+std::pair<Tensor3<std::int8_t>, Tensor3<std::int8_t>> DecodeState::assemble_quantized()
+    const {
+    return {assemble_rows(kq_), assemble_rows(vq_)};
 }
 
 Matrix<float> streaming_masked_attention(const Matrix<float>& q, const Matrix<float>& k,

@@ -16,6 +16,7 @@
 // compact K/V whose size is bounded by the pattern, not the prefix length.
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -51,6 +52,13 @@ Matrix<float> streaming_masked_attention(const Matrix<float>& q, const Matrix<fl
 /// is rewritten against. A global inside the current window appears in
 /// both sections; the copies are bit-identical, so either reference
 /// produces the same result.
+///
+/// Every row is also quantized once, at append(), into an int8 ring and
+/// int8 pins next to the float ones; assemble_quantized() lays those out
+/// the same way for the accelerator datapath. Quantization is elementwise,
+/// so these are exactly the bits quantize<InputFx>(assemble()) would give,
+/// without requantizing the whole window on every step. The float copies
+/// stay for golden fidelity and float callers.
 class DecodeState {
 public:
     /// `global_tokens` are absolute positions (sorted + deduplicated here);
@@ -85,14 +93,35 @@ public:
     /// Materialize the compact K/V: [heads][compact_rows()][head_dim].
     std::pair<Tensor3<float>, Tensor3<float>> assemble() const;
 
+    /// The same layout of the rows quantized at append() (InputFx raw).
+    std::pair<Tensor3<std::int8_t>, Tensor3<std::int8_t>> assemble_quantized() const;
+
 private:
+    /// One element type's retained rows, per head, head_dim wide and
+    /// row-major: the ring (slot = p % window_span; filled by append up to
+    /// window_span slots, so an unused stream touches no ring memory) and
+    /// the pinned globals in ascending order.
+    template <typename T>
+    struct RowStore {
+        std::vector<std::vector<T>> ring;
+        std::vector<std::vector<T>> pin;
+    };
+
+    /// Write position length()'s rows (heads x head_dim) into `rows`.
+    template <typename T>
+    void store(RowStore<T>& rows, const Matrix<T>& row, bool is_global);
+
+    /// Copy the live rows of `rows` into the compact layout.
+    template <typename T>
+    Tensor3<T> assemble_rows(const RowStore<T>& rows) const;
+
     int heads_;
     int head_dim_;
     int span_;
     std::vector<int> globals_;
     int length_ = 0;
-    Tensor3<float> k_ring_, v_ring_;  ///< [heads][span][d], slot = p % span
-    Tensor3<float> k_pin_, v_pin_;    ///< [heads][globals][d], sorted order
+    RowStore<float> k_, v_;
+    RowStore<std::int8_t> kq_, vq_;  ///< the same rows, quantized at append
 };
 
 }  // namespace salo

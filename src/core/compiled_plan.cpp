@@ -1,6 +1,7 @@
 #include "core/compiled_plan.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/hash.hpp"
 
@@ -166,6 +167,39 @@ CompiledPlan derive_micro_plan(const CompiledPlan& full) {
 
 CompiledPlanPtr derive_micro_plan_shared(const CompiledPlan& full) {
     return std::make_shared<const CompiledPlan>(derive_micro_plan(full));
+}
+
+StepPeriod step_period(const HybridPattern& pattern, const ArrayGeometry& geometry) {
+    constexpr std::int64_t kMaxStepPeriod = 1 << 14;
+    SALO_EXPECTS(decode_compatible(pattern));
+    const std::vector<int>& globals = pattern.global_tokens();
+    StepPeriod sp;
+    sp.start = decode_window_span(pattern.bands()) + (globals.empty() ? 0 : globals.back());
+    std::int64_t dilations = 1;
+    for (const Band& b : pattern.bands()) {
+        dilations = std::lcm(dilations, static_cast<std::int64_t>(b.dilation));
+        if (dilations * geometry.rows > kMaxStepPeriod) return sp;
+    }
+    sp.period = static_cast<int>(dilations * geometry.rows);
+    return sp;
+}
+
+CompiledPlan relabel_micro_plan(const CompiledPlan& tmpl, const HybridPattern& prefix) {
+    SALO_EXPECTS(tmpl.is_step());
+    SALO_EXPECTS(prefix.bands() == tmpl.pattern().bands());
+    SALO_EXPECTS(prefix.global_tokens() == tmpl.pattern().global_tokens());
+    const StepPeriod sp = step_period(prefix, tmpl.geometry());
+    const StepGeometry& from = tmpl.step();
+    const int t = prefix.n() - 1;
+    SALO_EXPECTS(sp.period > 0 && from.position >= sp.start && t >= sp.start);
+    SALO_EXPECTS((t - from.position) % sp.period == 0);
+
+    StepGeometry step = from;
+    step.position = t;
+    step.window_lo = t - (step.window_span - 1);
+    const std::uint64_t full_key =
+        plan_fingerprint(prefix, tmpl.head_dim(), tmpl.geometry(), tmpl.options());
+    return CompiledPlan(prefix, tmpl.plan(), step_plan_fingerprint(full_key, t), step);
 }
 
 }  // namespace salo

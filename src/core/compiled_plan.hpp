@@ -118,4 +118,28 @@ std::uint64_t step_plan_fingerprint(std::uint64_t full_fingerprint, int position
 CompiledPlan derive_micro_plan(const CompiledPlan& full);
 CompiledPlanPtr derive_micro_plan_shared(const CompiledPlan& full);
 
+/// Where a decode-compatible pattern's micro-plans start to repeat. From
+/// `start` on (T0 = window span + largest global, so every global has left
+/// the ring window and no window key is clipped or global), the micro-plan
+/// at position t is tile-for-tile the one at t - `period` (P = geometry.rows
+/// x lcm of the band dilations: the sequence-splitting blocks of every
+/// dilation class line up again). Only the StepGeometry position and
+/// window_lo, the fingerprint and the prefix pattern differ. `period` is 0
+/// when P would exceed 16384 positions (a template table that size is not
+/// worth keeping); such patterns are never relabelled.
+struct StepPeriod {
+    int start = 0;
+    int period = 0;
+};
+
+StepPeriod step_period(const HybridPattern& pattern, const ArrayGeometry& geometry);
+
+/// The micro-plan for the last row of `prefix`, built from `tmpl`, the
+/// micro-plan of an earlier position s of the same stream shape, without
+/// running the scheduler: the tiles are copied and the position, window_lo,
+/// fingerprint and pattern are set for t = prefix.n() - 1. Equal to
+/// derive_micro_plan(compile(prefix)) when s >= T0 and (t - s) % P == 0
+/// (checked, with the bands and globals of both patterns).
+CompiledPlan relabel_micro_plan(const CompiledPlan& tmpl, const HybridPattern& prefix);
+
 }  // namespace salo

@@ -317,7 +317,6 @@ DecodeSession::Outcome DecodeSession::execute(ExecItem& item, int thread_budget)
         const int length = stream.state.length();
         const HybridPattern prefix = prefix_pattern(stream.pattern, length);
         const CompiledPlanPtr micro = engine.compile_step(prefix, stream.head_dim);
-        auto [k_compact, v_compact] = stream.state.assemble();
 
         RunOptions run_options;
         run_options.fidelity = request.fidelity;
@@ -328,9 +327,17 @@ DecodeSession::Outcome DecodeSession::execute(ExecItem& item, int thread_budget)
         // construction; this only carries a per-step override.
         run_options.fault_injector = request.fault_injector.get();
 
-        item.step.promise.set_value(engine.run_step(*micro, request.q_row, k_compact,
-                                                    v_compact, stream.scale,
-                                                    run_options));
+        // The integer datapath reads the rows quantized once at append();
+        // only the golden oracle needs the float copies.
+        if (request.fidelity.value_or(engine.config().fidelity) == Fidelity::kGolden) {
+            const auto [k, v] = stream.state.assemble();
+            item.step.promise.set_value(
+                engine.run_step(*micro, request.q_row, k, v, stream.scale, run_options));
+        } else {
+            const auto [kq, vq] = stream.state.assemble_quantized();
+            item.step.promise.set_value(
+                engine.run_step(*micro, request.q_row, kq, vq, stream.scale, run_options));
+        }
         record(CircuitBreaker::Outcome::success);
         return Outcome::ok;
     } catch (const RequestCancelled&) {
@@ -561,6 +568,7 @@ SessionStats DecodeSession::stats() const {
         s.plan_cache.misses += c.misses;
         s.plan_cache.compiles += c.compiles;
         s.plan_cache.step_derives += c.step_derives;
+        s.plan_cache.step_relabels += c.step_relabels;
         s.plan_cache.shared_resolved += c.shared_resolved;
         s.plan_cache.evictions += c.evictions;
         s.plan_cache.size += c.size;

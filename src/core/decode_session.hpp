@@ -6,9 +6,10 @@
 // head dimension), then submits one query row at a time; every step appends
 // that position's K/V rows to the stream's DecodeState (ring window +
 // pinned globals, attention/streaming.hpp) and computes only the new row's
-// tiles through the engine's micro-plan path (SaloEngine::run_step) — the
-// full-pattern schedule is compiled once per shape and each step derivation
-// is cached, so steady-state decode runs no scheduler work at all.
+// tiles through the engine's micro-plan path (SaloEngine::run_step) on the
+// K/V rows quantized once at append. Micro-plans repeat with period P from
+// position T0 on (step_period), so past T0 + P a step's plan is a relabelled
+// template and the step runs no scheduler work (PlanCache::get_or_derive_step).
 //
 //   DecodeSession session(config, options);
 //   StreamId s = session.open_stream(pattern, heads, head_dim, scale);

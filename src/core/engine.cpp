@@ -89,6 +89,16 @@ SchedulePlan SaloEngine::plan(const HybridPattern& pattern, int head_dim) const 
     return schedule(pattern, config_.geometry, head_dim, config_.schedule_options);
 }
 
+SaloEngine::RunControl SaloEngine::run_control(const RunOptions& options) const {
+    RunControl ctl;
+    ctl.cancel = options.cancel.cancellable() ? &options.cancel : nullptr;
+    ctl.has_deadline = options.deadline.has_value();
+    if (options.deadline) ctl.deadline = *options.deadline;
+    ctl.fault = options.fault_injector != nullptr ? options.fault_injector
+                                                  : config_.fault_injector.get();
+    return ctl;
+}
+
 void SaloEngine::check_compatible(const CompiledPlan& plan) const {
     SALO_EXPECTS(plan.geometry() == config_.geometry);
     SALO_EXPECTS(plan.options() == config_.schedule_options);
@@ -337,71 +347,73 @@ HeadResult SaloEngine::run_head_parallel(const SchedulePlan& plan, Fidelity fide
 // Incremental decode: one query row against the compact K/V layout.
 // ---------------------------------------------------------------------------
 
-HeadResult SaloEngine::run_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
-                                     int head, const Matrix<float>& k,
-                                     const Matrix<float>& v, float scale,
-                                     Fidelity fidelity, const RunControl* ctl) const {
+HeadResult SaloEngine::golden_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
+                                        int head, const Matrix<float>& k,
+                                        const Matrix<float>& v, float scale,
+                                        const RunControl* ctl) const {
     const StepGeometry& sg = micro.step();
     const int d = micro.head_dim();
     HeadResult result;
-
-    if (fidelity == Fidelity::kGolden) {
-        if (ctl != nullptr) ctl->check(-1);
-        // masked_attention's row loop for row t, with absolute key
-        // positions mapped into the compact layout. The compact rows are
-        // copies of the absolute rows and the iteration stays ascending-j,
-        // so every float op matches golden() over the full prefix.
-        const HybridPattern& pattern = micro.pattern();
-        const std::vector<int>& globals = pattern.global_tokens();
-        const int t = sg.position;
-        const auto compact_of = [&](int j) {
-            if (j >= sg.window_lo) return sg.num_globals + (j - sg.window_lo);
-            const auto pin = std::lower_bound(globals.begin(), globals.end(), j);
-            SALO_ASSERT(pin != globals.end() && *pin == j);
-            return static_cast<int>(pin - globals.begin());
-        };
-        std::vector<int> cols;
-        std::vector<double> scores;
-        for (int j = 0; j <= t; ++j)
-            if (pattern.attends(t, j)) cols.push_back(j);
-        Matrix<float> out(1, d, 0.0f);
-        if (!cols.empty()) {
-            double mx = -std::numeric_limits<double>::infinity();
-            for (int j : cols) {
-                const int cj = compact_of(j);
-                double dot = 0.0;
-                for (int x = 0; x < d; ++x)
-                    dot += static_cast<double>(q_row(head, x)) *
-                           static_cast<double>(k(cj, x));
-                dot *= scale;
-                scores.push_back(dot);
-                mx = std::max(mx, dot);
-            }
-            double sum = 0.0;
-            for (double& sc : scores) {
-                sc = std::exp(sc - mx);
-                sum += sc;
-            }
-            SALO_ASSERT(sum > 0.0);
-            for (std::size_t idx = 0; idx < cols.size(); ++idx) {
-                const double w = scores[idx] / sum;
-                const int cj = compact_of(cols[idx]);
-                for (int x = 0; x < d; ++x)
-                    out(0, x) += static_cast<float>(w * static_cast<double>(v(cj, x)));
-            }
+    if (ctl != nullptr) ctl->check(-1);
+    // masked_attention's row loop for row t, with absolute key positions
+    // mapped into the compact layout. The compact rows are copies of the
+    // absolute rows and the iteration stays ascending-j, so every float op
+    // matches golden() over the full prefix.
+    const HybridPattern& pattern = micro.pattern();
+    const std::vector<int>& globals = pattern.global_tokens();
+    const int t = sg.position;
+    const auto compact_of = [&](int j) {
+        if (j >= sg.window_lo) return sg.num_globals + (j - sg.window_lo);
+        const auto pin = std::lower_bound(globals.begin(), globals.end(), j);
+        SALO_ASSERT(pin != globals.end() && *pin == j);
+        return static_cast<int>(pin - globals.begin());
+    };
+    std::vector<int> cols;
+    std::vector<double> scores;
+    for (int j = 0; j <= t; ++j)
+        if (pattern.attends(t, j)) cols.push_back(j);
+    Matrix<float> out(1, d, 0.0f);
+    if (!cols.empty()) {
+        double mx = -std::numeric_limits<double>::infinity();
+        for (int j : cols) {
+            const int cj = compact_of(j);
+            double dot = 0.0;
+            for (int x = 0; x < d; ++x)
+                dot += static_cast<double>(q_row(head, x)) * static_cast<double>(k(cj, x));
+            dot *= scale;
+            scores.push_back(dot);
+            mx = std::max(mx, dot);
         }
-        result.output = std::move(out);
-        return result;
+        double sum = 0.0;
+        for (double& sc : scores) {
+            sc = std::exp(sc - mx);
+            sum += sc;
+        }
+        SALO_ASSERT(sum > 0.0);
+        for (std::size_t idx = 0; idx < cols.size(); ++idx) {
+            const double w = scores[idx] / sum;
+            const int cj = compact_of(cols[idx]);
+            for (int x = 0; x < d; ++x)
+                out(0, x) += static_cast<float>(w * static_cast<double>(v(cj, x)));
+        }
     }
+    result.output = std::move(out);
+    return result;
+}
+
+HeadResult SaloEngine::run_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
+                                     int head, const Matrix<std::int8_t>& kq,
+                                     const Matrix<std::int8_t>& vq, float scale,
+                                     Fidelity fidelity, const RunControl* ctl) const {
+    const int d = micro.head_dim();
+    HeadResult result;
 
     // Quantization is elementwise, so the single scaled query row and the
-    // compact K/V rows quantize to exactly the bits the full-prefix run
-    // produces for the same rows.
+    // compact K/V rows (quantized at append) carry exactly the bits the
+    // full-prefix run produces for the same rows.
     Matrix<float> q_scaled(1, d, 0.0f);
     for (int x = 0; x < d; ++x) q_scaled(0, x) = q_row(head, x) * scale;
     const Matrix<std::int8_t> qq = quantize<InputFx>(q_scaled);
-    const Matrix<std::int8_t> kq = quantize<InputFx>(k);
-    const Matrix<std::int8_t> vq = quantize<InputFx>(v);
 
     const SchedulePlan& plan = micro.plan();
     const int num_tiles = static_cast<int>(plan.tiles.size());
@@ -459,9 +471,10 @@ CompiledPlanPtr SaloEngine::compile_step(const HybridPattern& pattern,
     return plan_cache_.get_or_derive_step(pattern, head_dim, config_);
 }
 
-StepResult SaloEngine::run_step(const CompiledPlan& micro, const Matrix<float>& q_row,
-                                const Tensor3<float>& k, const Tensor3<float>& v,
-                                float scale, const RunOptions& options) const {
+template <typename T, typename HeadFn>
+StepResult SaloEngine::run_step_heads(const CompiledPlan& micro, const Matrix<float>& q_row,
+                                      const Tensor3<T>& k, const Tensor3<T>& v,
+                                      const RunOptions& options, HeadFn&& head_fn) const {
     check_compatible(micro);
     SALO_EXPECTS(micro.is_step());
     const StepGeometry& sg = micro.step();
@@ -473,13 +486,7 @@ StepResult SaloEngine::run_step(const CompiledPlan& micro, const Matrix<float>& 
     SALO_EXPECTS(k.rows() == sg.compact_rows && v.rows() == sg.compact_rows);
     SALO_EXPECTS(k.cols() == d && v.cols() == d);
 
-    const Fidelity fidelity = options.fidelity.value_or(config_.fidelity);
-    RunControl ctl_storage;
-    ctl_storage.cancel = options.cancel.cancellable() ? &options.cancel : nullptr;
-    ctl_storage.has_deadline = options.deadline.has_value();
-    if (options.deadline) ctl_storage.deadline = *options.deadline;
-    ctl_storage.fault = options.fault_injector != nullptr ? options.fault_injector
-                                                          : config_.fault_injector.get();
+    const RunControl ctl_storage = run_control(options);
     const RunControl* ctl = ctl_storage.active() ? &ctl_storage : nullptr;
 
     StepResult result;
@@ -493,13 +500,11 @@ StepResult SaloEngine::run_step(const CompiledPlan& micro, const Matrix<float>& 
         // Heads are independent; a step's per-head tile loop is tiny, so a
         // head is the only sensible work quantum.
         pool().parallel_for(heads, [&](int h, int) {
-            head_results[static_cast<std::size_t>(h)] =
-                run_step_head(micro, q_row, h, k[h], v[h], scale, fidelity, ctl);
+            head_results[static_cast<std::size_t>(h)] = head_fn(h, ctl);
         });
     } else {
         for (int h = 0; h < heads; ++h)
-            head_results[static_cast<std::size_t>(h)] =
-                run_step_head(micro, q_row, h, k[h], v[h], scale, fidelity, ctl);
+            head_results[static_cast<std::size_t>(h)] = head_fn(h, ctl);
     }
 
     for (int h = 0; h < heads; ++h) {
@@ -507,6 +512,29 @@ StepResult SaloEngine::run_step(const CompiledPlan& micro, const Matrix<float>& 
         result.stats += head_results[static_cast<std::size_t>(h)].stats;
     }
     return result;
+}
+
+StepResult SaloEngine::run_step(const CompiledPlan& micro, const Matrix<float>& q_row,
+                                const Tensor3<std::int8_t>& kq, const Tensor3<std::int8_t>& vq,
+                                float scale, const RunOptions& options) const {
+    const Fidelity fidelity = options.fidelity.value_or(config_.fidelity);
+    SALO_EXPECTS(fidelity != Fidelity::kGolden);  // the float rows are gone
+    return run_step_heads(micro, q_row, kq, vq, options, [&](int h, const RunControl* ctl) {
+        return run_step_head(micro, q_row, h, kq[h], vq[h], scale, fidelity, ctl);
+    });
+}
+
+StepResult SaloEngine::run_step(const CompiledPlan& micro, const Matrix<float>& q_row,
+                                const Tensor3<float>& k, const Tensor3<float>& v,
+                                float scale, const RunOptions& options) const {
+    const Fidelity fidelity = options.fidelity.value_or(config_.fidelity);
+    return run_step_heads(micro, q_row, k, v, options, [&](int h, const RunControl* ctl) {
+        if (fidelity == Fidelity::kGolden)
+            return golden_step_head(micro, q_row, h, k[h], v[h], scale, ctl);
+        // Quantize, then the same integer core the int8 overload runs.
+        return run_step_head(micro, q_row, h, quantize<InputFx>(k[h]),
+                             quantize<InputFx>(v[h]), scale, fidelity, ctl);
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -551,12 +579,7 @@ LayerResult SaloEngine::run(const CompiledPlan& plan, const Tensor3<float>& q,
 
     // Resolve the robustness hooks once; a null control keeps the tile
     // loops free of clock reads and atomic loads (the common case).
-    RunControl ctl_storage;
-    ctl_storage.cancel = options.cancel.cancellable() ? &options.cancel : nullptr;
-    ctl_storage.has_deadline = options.deadline.has_value();
-    if (options.deadline) ctl_storage.deadline = *options.deadline;
-    ctl_storage.fault = options.fault_injector != nullptr ? options.fault_injector
-                                                          : config_.fault_injector.get();
+    const RunControl ctl_storage = run_control(options);
     const RunControl* ctl = ctl_storage.active() ? &ctl_storage : nullptr;
 
     const int heads = q.count();

@@ -157,10 +157,21 @@ public:
     /// `position` of run() over the full prefix at the same fidelity:
     /// the micro-plan replays exactly the tiles/parts the full schedule
     /// emits for that row, in the same order, through the same integer
-    /// datapath. Robustness hooks behave as in run().
+    /// datapath. Robustness hooks behave as in run(). At functional and
+    /// cycle-accurate fidelity this quantizes k/v and runs the int8
+    /// overload's core; golden fidelity computes in float.
     StepResult run_step(const CompiledPlan& micro, const Matrix<float>& q_row,
                         const Tensor3<float>& k, const Tensor3<float>& v, float scale,
                         const RunOptions& options = {}) const;
+
+    /// The same step on K/V already quantized to InputFx raw int8
+    /// (DecodeState::assemble_quantized()), so nothing is requantized.
+    /// Functional and cycle-accurate fidelity only (ContractViolation at
+    /// golden, which needs the float rows). Bit-identical to the float
+    /// overload on the float rows these were quantized from.
+    StepResult run_step(const CompiledPlan& micro, const Matrix<float>& q_row,
+                        const Tensor3<std::int8_t>& kq, const Tensor3<std::int8_t>& vq,
+                        float scale, const RunOptions& options = {}) const;
 
     /// Cumulative statistics of the internal PlanCache serving compile()
     /// and the legacy shims.
@@ -234,6 +245,10 @@ private:
     /// The plan must match this engine's geometry/options (checked).
     void check_compatible(const CompiledPlan& plan) const;
 
+    /// The hooks of `options` (pointers into it), with the configured
+    /// fault injector as fallback.
+    RunControl run_control(const RunOptions& options) const;
+
     /// `threads` is the lane budget for THIS head (1 = sequential; callers
     /// running heads in parallel pass 1 so levels never nest). `ws` may be
     /// null (a scratch workspace is created when needed). `ctl` may be null
@@ -257,12 +272,26 @@ private:
                                  ParallelWorkspace& ws,
                                  const RunControl* ctl = nullptr) const;
 
-    /// One head of one decode step (sequential tile loop; micro-plans are
-    /// a handful of tiles, so there is nothing to fork over inside a head).
+    /// One head of one decode step on the integer datapath (sequential
+    /// tile loop; micro-plans are a handful of tiles, so there is nothing
+    /// to fork over inside a head).
     HeadResult run_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
-                             int head, const Matrix<float>& k, const Matrix<float>& v,
-                             float scale, Fidelity fidelity,
-                             const RunControl* ctl) const;
+                             int head, const Matrix<std::int8_t>& kq,
+                             const Matrix<std::int8_t>& vq, float scale,
+                             Fidelity fidelity, const RunControl* ctl) const;
+
+    /// One head of one decode step at golden fidelity (float oracle).
+    HeadResult golden_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
+                                int head, const Matrix<float>& k, const Matrix<float>& v,
+                                float scale, const RunControl* ctl) const;
+
+    /// Shared shell of both run_step overloads: shape checks, hooks, and
+    /// the head loop (parallel across heads when the budget allows);
+    /// head_fn(h, ctl) computes head h.
+    template <typename T, typename HeadFn>
+    StepResult run_step_heads(const CompiledPlan& micro, const Matrix<float>& q_row,
+                              const Tensor3<T>& k, const Tensor3<T>& v,
+                              const RunOptions& options, HeadFn&& head_fn) const;
 
     /// The persistent worker pool (built on first use, sized num_threads).
     ThreadPool& pool() const;

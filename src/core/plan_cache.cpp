@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/hash.hpp"
+
 namespace salo {
 
 PlanCache::PlanCache(std::size_t capacity, PlanCompileFn compile_fn)
@@ -91,6 +93,105 @@ CompiledPlanPtr PlanCache::get_or_compile(const HybridPattern& pattern, int head
 
 CompiledPlanPtr PlanCache::get_or_derive_step(const HybridPattern& pattern, int head_dim,
                                               const SaloConfig& config) {
+    const StepPeriod sp = step_period(pattern, config.geometry);
+    const int t = pattern.n() - 1;
+    if (sp.period == 0 || t < sp.start) return derive_step(pattern, head_dim, config);
+
+    // Steady state: positions T0 + r + kP share one template per residue r.
+    const int residue = (t - sp.start) % sp.period;
+    const std::uint64_t family = step_family_key(pattern, head_dim, config);
+    if (t < sp.start + sp.period) {
+        // The first period derives normally and leaves its plans behind as
+        // the family's templates.
+        CompiledPlanPtr plan = derive_step(pattern, head_dim, config);
+        store_template(family, sp, residue, plan, head_dim, config);
+        return plan;
+    }
+    CompiledPlanPtr tmpl = find_template(family, residue, pattern, head_dim, config);
+    if (tmpl == nullptr) {
+        // Stepped in past the first period (or the family was evicted):
+        // derive the residue's template position lazily.
+        const HybridPattern at(sp.start + residue + 1, pattern.bands(),
+                               pattern.global_tokens());
+        tmpl = derive_step(at, head_dim, config);
+        store_template(family, sp, residue, tmpl, head_dim, config);
+    }
+    {
+        std::lock_guard<std::mutex> lock(m_);
+        ++step_relabels_;
+    }
+    return std::make_shared<const CompiledPlan>(relabel_micro_plan(*tmpl, pattern));
+}
+
+std::uint64_t PlanCache::step_family_key(const HybridPattern& pattern, int head_dim,
+                                         const SaloConfig& config) {
+    // plan_fingerprint without the sequence length: one key per stream shape.
+    Fnv1a h;
+    h.mix(std::uint64_t{0x5A10'0007});  // type tag: decode step family
+    h.mix(static_cast<std::uint64_t>(pattern.bands().size()));
+    for (const Band& b : pattern.bands()) {
+        h.mix(b.lo);
+        h.mix(b.count);
+        h.mix(b.dilation);
+        h.mix(b.dy);
+    }
+    h.mix(static_cast<std::uint64_t>(pattern.global_tokens().size()));
+    for (int g : pattern.global_tokens()) h.mix(g);
+    h.mix(head_dim);
+    h.mix(config.geometry.fingerprint());
+    h.mix(config.schedule_options.fingerprint());
+    return h.digest();
+}
+
+bool PlanCache::same_family(const CompiledPlan& member, const HybridPattern& pattern,
+                            int head_dim, const SaloConfig& config) {
+    return member.head_dim() == head_dim && member.geometry() == config.geometry &&
+           member.options() == config.schedule_options &&
+           member.pattern().bands() == pattern.bands() &&
+           member.pattern().global_tokens() == pattern.global_tokens();
+}
+
+CompiledPlanPtr PlanCache::find_template(std::uint64_t family, int residue,
+                                         const HybridPattern& pattern, int head_dim,
+                                         const SaloConfig& config) {
+    std::lock_guard<std::mutex> lock(m_);
+    const auto it = family_by_key_.find(family);
+    if (it == family_by_key_.end()) return nullptr;
+    const CompiledPlanPtr& tmpl = it->second->templates[static_cast<std::size_t>(residue)];
+    // A family-key collision never matches: the template carries its
+    // family's bands and globals.
+    if (tmpl == nullptr || !same_family(*tmpl, pattern, head_dim, config)) return nullptr;
+    ++hits_;
+    families_.splice(families_.begin(), families_, it->second);  // move to MRU
+    return tmpl;
+}
+
+void PlanCache::store_template(std::uint64_t family, const StepPeriod& sp, int residue,
+                               CompiledPlanPtr plan, int head_dim, const SaloConfig& config) {
+    std::lock_guard<std::mutex> lock(m_);
+    auto it = family_by_key_.find(family);
+    if (it != family_by_key_.end() &&
+        !same_family(*it->second->exemplar, plan->pattern(), head_dim, config)) {
+        // A colliding shape under the same key replaces the family rather
+        // than mixing templates of two shapes.
+        families_.erase(it->second);
+        family_by_key_.erase(it);
+        it = family_by_key_.end();
+    }
+    if (it == family_by_key_.end()) {
+        families_.push_front(StepFamily{
+            family, plan, std::vector<CompiledPlanPtr>(static_cast<std::size_t>(sp.period))});
+        it = family_by_key_.emplace(family, families_.begin()).first;
+        while (families_.size() > capacity_) {
+            family_by_key_.erase(families_.back().key);
+            families_.pop_back();
+        }
+    }
+    it->second->templates[static_cast<std::size_t>(residue)] = std::move(plan);
+}
+
+CompiledPlanPtr PlanCache::derive_step(const HybridPattern& pattern, int head_dim,
+                                       const SaloConfig& config) {
     SALO_EXPECTS(decode_compatible(pattern));
     const int position = pattern.n() - 1;
     const std::uint64_t full_key =
@@ -174,6 +275,7 @@ PlanCacheStats PlanCache::stats() const {
     s.misses = misses_;
     s.compiles = compiles_;
     s.step_derives = step_derives_;
+    s.step_relabels = step_relabels_;
     s.shared_resolved = shared_resolved_;
     s.evictions = evictions_;
     s.size = lru_.size();
@@ -185,6 +287,8 @@ void PlanCache::clear() {
     std::lock_guard<std::mutex> lock(m_);
     lru_.clear();
     by_key_.clear();
+    families_.clear();
+    family_by_key_.clear();
 }
 
 }  // namespace salo

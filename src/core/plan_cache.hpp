@@ -22,6 +22,11 @@
 // by *this* cache — with a shared store attached, a shard cache's compiles
 // stays 0 and the shared store's compiles is the tier-wide pass count.
 //
+// Decode steps: get_or_derive_step serves per-position micro-plans. Past a
+// stream shape's steady-state start it relabels per-residue templates
+// instead of caching one entry per position (see its comment); the
+// template table holds at most `capacity` shapes.
+//
 // Collisions: the fingerprint hashes the full scheduling input, but a
 // 64-bit hash can in principle collide. Every hit re-checks structural
 // equality (pattern, head_dim, geometry, options) against the cached plan;
@@ -38,6 +43,7 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "core/compiled_plan.hpp"
 
@@ -50,6 +56,9 @@ struct PlanCacheStats {
     /// Decode micro-plan derivations run by THIS cache (get_or_derive_step
     /// misses resolved locally; like compiles, 0 with a shared store).
     std::uint64_t step_derives = 0;
+    /// Steady-state decode micro-plans built by relabelling a template
+    /// (get_or_derive_step at t >= T0 + P; no scheduler pass, no entry).
+    std::uint64_t step_relabels = 0;
     /// Of misses: resolved by the attached shared store (no local compile).
     std::uint64_t shared_resolved = 0;
     std::uint64_t evictions = 0;   ///< LRU capacity evictions
@@ -77,12 +86,19 @@ public:
                                    const SaloConfig& config);
 
     /// The decode micro-plan for the last row of `pattern` (a prefix
-    /// pattern of length L; the step position is L-1). A miss resolves the
-    /// full plan through get_or_compile (so full and micro plans share this
-    /// cache and the tier-wide dedup) and derives the micro-plan from it.
-    /// The step key is step_plan_fingerprint(full key, position) — a
-    /// distinct type tag, so micro-plans never alias full plans in one
-    /// cache. Never returns null.
+    /// pattern of length L; the step position is t = L-1). Never returns
+    /// null.
+    ///
+    /// Before steady state (t < T0 + P, see step_period) a miss resolves
+    /// the full plan through get_or_compile (so full and micro plans share
+    /// this cache and the tier-wide dedup) and derives the micro-plan from
+    /// it, under step_plan_fingerprint(full key, position) — a distinct
+    /// type tag, so micro-plans never alias full plans in one cache. The
+    /// plans of positions T0 .. T0+P-1 are also kept as the stream shape's
+    /// templates, one per residue. From T0 + P on, the plan is the
+    /// template of residue (t - T0) mod P relabelled to t
+    /// (relabel_micro_plan): no scheduler pass, no LRU entry. A missing
+    /// template is derived lazily at its own position.
     CompiledPlanPtr get_or_derive_step(const HybridPattern& pattern, int head_dim,
                                        const SaloConfig& config);
 
@@ -110,6 +126,30 @@ private:
                  std::optional<int> step_position = std::nullopt) const;
     void insert_locked(CompiledPlanPtr plan);
 
+    /// get_or_derive_step without templates: LRU lookup, else derive.
+    CompiledPlanPtr derive_step(const HybridPattern& pattern, int head_dim,
+                                const SaloConfig& config);
+
+    /// The steady-state templates of one decode stream shape (bands,
+    /// globals, head_dim, geometry, options — everything but the length).
+    struct StepFamily {
+        std::uint64_t key = 0;
+        CompiledPlanPtr exemplar;  ///< first template stored; collision check
+        std::vector<CompiledPlanPtr> templates;  ///< [P], null until derived
+    };
+    using FamilyList = std::list<StepFamily>;
+
+    static std::uint64_t step_family_key(const HybridPattern& pattern, int head_dim,
+                                         const SaloConfig& config);
+    static bool same_family(const CompiledPlan& member, const HybridPattern& pattern,
+                            int head_dim, const SaloConfig& config);
+    /// The template for `residue`, or null; a hit counts in hits.
+    CompiledPlanPtr find_template(std::uint64_t family, int residue,
+                                  const HybridPattern& pattern, int head_dim,
+                                  const SaloConfig& config);
+    void store_template(std::uint64_t family, const StepPeriod& sp, int residue,
+                        CompiledPlanPtr plan, int head_dim, const SaloConfig& config);
+
     mutable std::mutex m_;
     std::condition_variable cv_compiled_;  ///< an in-flight compile finished
     std::size_t capacity_;
@@ -118,10 +158,14 @@ private:
     LruList lru_;
     std::unordered_map<std::uint64_t, LruList::iterator> by_key_;
     std::unordered_set<std::uint64_t> inflight_;  ///< keys being compiled now
+    /// Decode step families, most-recently-used first; at most capacity_.
+    FamilyList families_;
+    std::unordered_map<std::uint64_t, FamilyList::iterator> family_by_key_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t compiles_ = 0;
     std::uint64_t step_derives_ = 0;
+    std::uint64_t step_relabels_ = 0;
     std::uint64_t shared_resolved_ = 0;
     std::uint64_t evictions_ = 0;
 };

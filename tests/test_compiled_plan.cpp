@@ -281,6 +281,7 @@ TEST(PlanCacheTest, ThrowingCompileWakesWaitersAndRetries) {
     // successfully — not sleep forever on a key nobody is compiling.
     // (A regression here fails as a ctest hang/timeout.)
     std::atomic<int> calls{0};
+    std::atomic<bool> leader_compiling{false};
     std::atomic<bool> waiter_started{false};
     PlanCache cache(8, [&](const HybridPattern& pattern, int head_dim,
                            const SaloConfig& config) -> CompiledPlanPtr {
@@ -288,6 +289,7 @@ TEST(PlanCacheTest, ThrowingCompileWakesWaitersAndRetries) {
             // First (leader) call: hold until the second thread has at
             // least called into the cache — it then waits on the in-flight
             // key — and fail.
+            leader_compiling.store(true);
             while (!waiter_started.load()) std::this_thread::yield();
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
             throw EngineFault("injected compile failure");
@@ -305,6 +307,9 @@ TEST(PlanCacheTest, ThrowingCompileWakesWaitersAndRetries) {
             leader_threw.store(true);
         }
     });
+    // The waiter starts only once the leader owns the in-flight key, so it
+    // can never become the (throwing) leader itself.
+    while (!leader_compiling.load()) std::this_thread::yield();
     CompiledPlanPtr adopted;
     std::thread waiter([&] {
         waiter_started.store(true);

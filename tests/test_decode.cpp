@@ -4,6 +4,7 @@
 // batching, eviction semantics, conservation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
 #include <memory>
 #include <set>
@@ -15,6 +16,7 @@
 #include "core/engine.hpp"
 #include "core/errors.hpp"
 #include "core/plan_cache.hpp"
+#include "numeric/quantize.hpp"
 #include "tensor/tensor3.hpp"
 
 namespace salo {
@@ -250,6 +252,205 @@ TEST(MicroPlan, GeometryAndTileShape) {
 }
 
 // -------------------------------------------------------------------------
+// Steady-state relabelling: micro-plans past T0 + P come from templates
+// -------------------------------------------------------------------------
+
+struct StreamFamily {
+    const char* name;
+    std::vector<Band> bands;
+    std::vector<int> globals;
+};
+
+// Longformer-shaped, several globals, two bands, dilation, mixed dilations
+// (overlapping, so band dedup is in play), and more globals than one tile
+// row serves (the scheduler's catch-up tiles fire).
+std::vector<StreamFamily> steady_state_families() {
+    return {
+        {"longformer_span256_g0", {Band{-255, 256, 1, 0}}, {0}},
+        {"span64_g0_5", {Band{-63, 64, 1, 0}}, {0, 5}},
+        {"two_causal_bands", {Band{-15, 16, 1, 0}, Band{-47, 16, 1, 0}}, {0}},
+        {"dilation2", {Band{-62, 32, 2, 0}}, {0}},
+        {"mixed_dilations", {Band{-9, 10, 1, 0}, Band{-30, 12, 2, 0}}, {1}},
+        {"span8_4_globals_catchup", {Band{-7, 8, 1, 0}}, {0, 1, 2, 3}},
+    };
+}
+
+void expect_same_micro_plan(const CompiledPlan& got, const CompiledPlan& want) {
+    ASSERT_TRUE(got.is_step());
+    ASSERT_TRUE(want.is_step());
+    EXPECT_EQ(got.fingerprint(), want.fingerprint());
+    EXPECT_TRUE(got.pattern() == want.pattern());
+    const StepGeometry& a = got.step();
+    const StepGeometry& b = want.step();
+    EXPECT_EQ(a.position, b.position);
+    EXPECT_EQ(a.window_lo, b.window_lo);
+    EXPECT_EQ(a.num_globals, b.num_globals);
+    EXPECT_EQ(a.window_span, b.window_span);
+    EXPECT_EQ(a.compact_rows, b.compact_rows);
+
+    const SchedulePlan& pa = got.plan();
+    const SchedulePlan& pb = want.plan();
+    EXPECT_EQ(pa.n, pb.n);
+    EXPECT_EQ(pa.head_dim, pb.head_dim);
+    EXPECT_EQ(pa.stats.window_tiles, pb.stats.window_tiles);
+    EXPECT_EQ(pa.stats.catchup_tiles, pb.stats.catchup_tiles);
+    EXPECT_EQ(pa.stats.valid_slots, pb.stats.valid_slots);
+    EXPECT_EQ(pa.stats.total_slots, pb.stats.total_slots);
+    EXPECT_EQ(pa.stats.global_row_ops, pb.stats.global_row_ops);
+    EXPECT_EQ(pa.stats.global_col_ops, pb.stats.global_col_ops);
+    ASSERT_EQ(pa.tiles.size(), pb.tiles.size());
+    for (std::size_t i = 0; i < pa.tiles.size(); ++i) {
+        const TileTask& x = pa.tiles[i];
+        const TileTask& y = pb.tiles[i];
+        EXPECT_EQ(x.query_ids, y.query_ids) << "tile " << i;
+        EXPECT_EQ(x.valid, y.valid) << "tile " << i;
+        EXPECT_EQ(x.global_row_query, y.global_row_query) << "tile " << i;
+        EXPECT_EQ(x.global_fresh, y.global_fresh) << "tile " << i;
+        EXPECT_EQ(x.global_col_key, y.global_col_key) << "tile " << i;
+        EXPECT_EQ(x.global_col_rows, y.global_col_rows) << "tile " << i;
+        ASSERT_EQ(x.segments.size(), y.segments.size()) << "tile " << i;
+        for (std::size_t k = 0; k < x.segments.size(); ++k) {
+            EXPECT_EQ(x.segments[k].band, y.segments[k].band);
+            EXPECT_EQ(x.segments[k].col_begin, y.segments[k].col_begin);
+            EXPECT_EQ(x.segments[k].col_end, y.segments[k].col_end);
+            EXPECT_EQ(x.segments[k].key_base, y.segments[k].key_base);
+            EXPECT_EQ(x.segments[k].dilation, y.segments[k].dilation);
+        }
+    }
+}
+
+TEST(StepPeriod, StartAndPeriod) {
+    const ArrayGeometry geometry;  // 32 rows
+    // T0 = span + largest global; P = rows x lcm(dilations).
+    const StepPeriod a = step_period(HybridPattern(8, {Band{-255, 256, 1, 0}}, {0}), geometry);
+    EXPECT_EQ(a.start, 256);
+    EXPECT_EQ(a.period, 32);
+    const StepPeriod b = step_period(
+        HybridPattern(8, {Band{-9, 10, 1, 0}, Band{-30, 12, 2, 0}, Band{-9, 2, 3, 0}}, {1, 4}),
+        geometry);
+    EXPECT_EQ(b.start, 31 + 4);
+    EXPECT_EQ(b.period, 32 * 6);
+    const StepPeriod c = step_period(HybridPattern(8, {Band{-7, 8, 1, 0}}, {}), geometry);
+    EXPECT_EQ(c.start, 8);
+}
+
+TEST(StepRelabel, EqualsFullDerivationTileForTile) {
+    const SaloConfig config;
+    const int d = 64;
+    for (const StreamFamily& fam : steady_state_families()) {
+        SCOPED_TRACE(fam.name);
+        SaloEngine engine(config);
+        const StepPeriod sp =
+            step_period(HybridPattern(1024, fam.bands, fam.globals), config.geometry);
+        ASSERT_GT(sp.period, 0);
+        bool catchup_seen = false;
+        for (int t = 0; t < sp.start + 3 * sp.period; ++t) {
+            const HybridPattern prefix = prefix_pattern(t + 1, fam.bands, fam.globals);
+            const CompiledPlanPtr got = engine.compile_step(prefix, d);
+            const CompiledPlan want = derive_micro_plan(compile(prefix, d, config));
+            SCOPED_TRACE(t);
+            expect_same_micro_plan(*got, want);
+            if (t >= sp.start) catchup_seen |= want.schedule_stats().catchup_tiles > 0;
+            if (testing::Test::HasFailure()) return;
+        }
+        const PlanCacheStats st = engine.plan_cache_stats();
+        EXPECT_EQ(st.step_relabels, static_cast<std::uint64_t>(2 * sp.period));
+        if (fam.globals.size() == 4) EXPECT_TRUE(catchup_seen);
+    }
+}
+
+TEST(StepRelabel, SeededRandomFamiliesMatchFullDerivation) {
+    // Beyond the six named families: random causal band sets (dilations
+    // 1-4, overlapping bands), up to 6 globals, three array heights, both
+    // packing modes, and a small cache that evicts families.
+    Rng rng(2024u);
+    const auto pick = [&](int lo, int hi) {
+        return lo + static_cast<int>(rng.uniform_index(static_cast<std::uint64_t>(hi - lo + 1)));
+    };
+    int tested = 0;
+    while (tested < 24) {
+        std::vector<Band> bands;
+        for (int b = pick(1, 3); b > 0; --b) {
+            const int dilation = pick(1, 4);
+            const int count = pick(1, 24);
+            bands.push_back(Band{-(count - 1) * dilation - pick(0, 8), count, dilation, 0});
+        }
+        const int span = decode_window_span(bands);
+        std::vector<int> globals;
+        for (int g = pick(0, 6); g > 0; --g) globals.push_back(pick(0, span - 1));
+        std::sort(globals.begin(), globals.end());
+        globals.erase(std::unique(globals.begin(), globals.end()), globals.end());
+        SaloConfig config;
+        config.geometry.rows = 8 << pick(0, 2);
+        config.geometry.cols = pick(0, 1) == 0 ? 8 : 32;
+        if (pick(0, 1) == 0) config.schedule_options.packing = PackingMode::kPerBand;
+        const StepPeriod sp = step_period(HybridPattern(4096, bands, globals), config.geometry);
+        const int horizon = sp.start + 2 * sp.period + 5;
+        if (horizon > 400) continue;
+        ++tested;
+        PlanCache cache(2);
+        for (int t = 0; t < horizon; ++t) {
+            const HybridPattern prefix = prefix_pattern(t + 1, bands, globals);
+            SCOPED_TRACE(testing::Message() << "family " << tested << " t=" << t);
+            expect_same_micro_plan(*cache.get_or_derive_step(prefix, 16, config),
+                                   derive_micro_plan(compile(prefix, 16, config)));
+            if (testing::Test::HasFailure()) return;
+        }
+        EXPECT_LE(cache.stats().compiles, static_cast<std::uint64_t>(sp.start + sp.period));
+    }
+}
+
+TEST(StepRelabel, LongStreamRunsAtMostT0PlusPSchedulerPasses) {
+    const SaloConfig config;
+    const int horizon = 1024;
+    for (const StreamFamily& fam : steady_state_families()) {
+        SCOPED_TRACE(fam.name);
+        SaloEngine engine(config);
+        const StepPeriod sp =
+            step_period(HybridPattern(1024, fam.bands, fam.globals), config.geometry);
+        for (int t = 0; t < horizon; ++t)
+            (void)engine.compile_step(prefix_pattern(t + 1, fam.bands, fam.globals), 64);
+        const PlanCacheStats st = engine.plan_cache_stats();
+        EXPECT_LE(st.compiles, static_cast<std::uint64_t>(sp.start + sp.period));
+        EXPECT_EQ(st.step_relabels,
+                  static_cast<std::uint64_t>(horizon - (sp.start + sp.period)));
+    }
+}
+
+TEST(StepRelabel, JumpingPastTheFirstPeriodDerivesTemplatesLazily) {
+    // A cache that never saw the first period still relabels: the residue's
+    // template position is derived on demand, once.
+    const SaloConfig config;
+    const std::vector<Band> bands{Band{-7, 8, 1, 0}};
+    const std::vector<int> globals{0, 1};
+    PlanCache cache(8);
+    const HybridPattern at(500, bands, globals);
+    const StepPeriod sp = step_period(at, config.geometry);
+    const CompiledPlanPtr first = cache.get_or_derive_step(at, 16, config);
+    expect_same_micro_plan(*first, derive_micro_plan(compile(at, 16, config)));
+    EXPECT_EQ(cache.stats().compiles, 1u);  // the template position only
+    // Same residue one period later: a template hit, no scheduler pass.
+    const HybridPattern later(500 + sp.period, bands, globals);
+    expect_same_micro_plan(*cache.get_or_derive_step(later, 16, config),
+                           derive_micro_plan(compile(later, 16, config)));
+    const PlanCacheStats st = cache.stats();
+    EXPECT_EQ(st.compiles, 1u);
+    EXPECT_EQ(st.step_relabels, 2u);
+}
+
+TEST(StepRelabel, RelabelRejectsAnotherResidueOrShape) {
+    const SaloConfig config;
+    const std::vector<Band> bands{Band{-7, 8, 1, 0}};
+    const HybridPattern at(40, bands, {0});
+    const CompiledPlan tmpl = derive_micro_plan(compile(at, 16, config));
+    EXPECT_NO_THROW((void)relabel_micro_plan(tmpl, HybridPattern(72, bands, {0})));
+    EXPECT_THROW((void)relabel_micro_plan(tmpl, HybridPattern(73, bands, {0})),
+                 ContractViolation);
+    EXPECT_THROW((void)relabel_micro_plan(tmpl, HybridPattern(72, bands, {1})),
+                 ContractViolation);
+}
+
+// -------------------------------------------------------------------------
 // run_step bit-identity against full-prefix encode
 // -------------------------------------------------------------------------
 
@@ -295,6 +496,22 @@ TEST(RunStep, CycleAccurateBitIdentity) {
     const SaloConfig config;
     expect_stepwise_bit_identity(config, {Band{-3, 4, 1, 0}}, {0}, 1, 8, 8,
                                  Fidelity::kCycleAccurate, 61u);
+}
+
+TEST(RunStep, QuantizedOverloadRejectsGolden) {
+    // The int8 overload has no float rows to run the golden oracle on.
+    const SaloConfig config;
+    SaloEngine engine(config);
+    const std::vector<Band> bands{Band{-3, 4, 1, 0}};
+    DecodeState state(1, 8, decode_window_span(bands), {});
+    state.append(Matrix<float>(1, 8, 0.5f), Matrix<float>(1, 8, 0.25f));
+    const CompiledPlanPtr micro = engine.compile_step(HybridPattern(1, bands), 8);
+    auto [kq, vq] = state.assemble_quantized();
+    RunOptions golden;
+    golden.fidelity = Fidelity::kGolden;
+    EXPECT_THROW((void)engine.run_step(*micro, Matrix<float>(1, 8, 1.0f), kq, vq, 0.5f, golden),
+                 ContractViolation);
+    EXPECT_NO_THROW((void)engine.run_step(*micro, Matrix<float>(1, 8, 1.0f), kq, vq, 0.5f));
 }
 
 TEST(RunStep, ParallelHeadsMatchSequential) {
@@ -390,6 +607,100 @@ TEST(DecodeSession, StepwiseBitIdentityVsFullEncode) {
     EXPECT_EQ(st.completed, st.submitted);
     EXPECT_EQ(st.accounted(), st.submitted);
     EXPECT_EQ(st.evicted_streams, 0u);
+}
+
+void expect_sim_stats_equal(const SimStats& a, const SimStats& b) {
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.tiles, b.tiles);
+    for (int s = 0; s < 5; ++s) EXPECT_EQ(a.stage_totals.stage[s], b.stage_totals.stage[s]);
+    EXPECT_EQ(a.activity.mac_ops, b.activity.mac_ops);
+    EXPECT_EQ(a.activity.exp_ops, b.activity.exp_ops);
+    EXPECT_EQ(a.activity.valid_slots, b.activity.valid_slots);
+    EXPECT_EQ(a.activity.array_slots, b.activity.array_slots);
+    EXPECT_EQ(a.activity.pe_cycles, b.activity.pe_cycles);
+}
+
+TEST(DecodeSession, LongHorizonBitIdentityAcrossFidelitiesAndThreads) {
+    // Past T0 + 2P the ring has wrapped many times and every plan is a
+    // relabelled template; the session feeds the int8 rows quantized at
+    // append. Each step must equal, bit for bit, the engine-only float
+    // run_step on assemble() (output and SimStats) at every position, and
+    // row t of the full-prefix encode at sampled positions.
+    const std::vector<Band> bands = {Band{-7, 8, 1, 0}};
+    const std::vector<int> globals = {0, 1, 2, 3};
+    const int heads = 2, d = 8;
+    const StepPeriod sp = step_period(HybridPattern(1024, bands, globals), ArrayGeometry{});
+    const int t0 = sp.start;
+    const int steps = t0 + 2 * sp.period + 3;
+    ASSERT_GT(steps, 2 * decode_window_span(bands));
+    const HybridPattern pattern(steps, bands, globals);
+    Rng rng(97u);
+    const Tensor3<float> q_all = random_tensor3(heads, steps, d, rng);
+    const Tensor3<float> k_all = random_tensor3(heads, steps, d, rng);
+    const Tensor3<float> v_all = random_tensor3(heads, steps, d, rng);
+    const std::set<int> sampled = {0, 3, 7, t0, t0 + sp.period, steps - 1};
+
+    for (const Fidelity fidelity :
+         {Fidelity::kFunctional, Fidelity::kCycleAccurate, Fidelity::kGolden}) {
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE(testing::Message() << "fidelity=" << static_cast<int>(fidelity)
+                                            << " threads=" << threads);
+            SaloConfig config;
+            config.fidelity = fidelity;
+            config.num_threads = threads;
+            DecodeSession session(config);
+            const SaloEngine ref(config);
+            DecodeState state(heads, d, decode_window_span(bands), globals);
+            const StreamId s = session.open_stream(pattern, heads, d, 0.25f);
+            for (int t = 0; t < steps; ++t) {
+                StepRequest req;
+                req.q_row = head_row(q_all, t, heads, d);
+                req.k_row = head_row(k_all, t, heads, d);
+                req.v_row = head_row(v_all, t, heads, d);
+                const StepResult got = session.step(s, std::move(req)).get();
+
+                state.append(head_row(k_all, t, heads, d), head_row(v_all, t, heads, d));
+                const HybridPattern prefix = prefix_pattern(t + 1, bands, globals);
+                auto [kc, vc] = state.assemble();
+                auto [kq, vq] = state.assemble_quantized();
+                for (int h = 0; h < heads; ++h) {
+                    ASSERT_EQ(kq[h], quantize<InputFx>(kc[h])) << "t=" << t;
+                    ASSERT_EQ(vq[h], quantize<InputFx>(vc[h])) << "t=" << t;
+                }
+                const StepResult want =
+                    ref.run_step(*ref.compile_step(prefix, d), head_row(q_all, t, heads, d),
+                                 kc, vc, 0.25f);
+                ASSERT_EQ(got.position, t);
+                for (int h = 0; h < heads; ++h)
+                    for (int x = 0; x < d; ++x)
+                        ASSERT_EQ(got.output[h](0, x), want.output[h](0, x))
+                            << "t=" << t << " h=" << h << " x=" << x;
+                expect_sim_stats_equal(got.stats, want.stats);
+
+                if (sampled.count(t) == 0) continue;
+                Tensor3<float> q_pre(heads, t + 1, d), k_pre(heads, t + 1, d),
+                    v_pre(heads, t + 1, d);
+                for (int h = 0; h < heads; ++h)
+                    for (int r = 0; r <= t; ++r)
+                        for (int x = 0; x < d; ++x) {
+                            q_pre[h](r, x) = q_all[h](r, x);
+                            k_pre[h](r, x) = k_all[h](r, x);
+                            v_pre[h](r, x) = v_all[h](r, x);
+                        }
+                const LayerResult full =
+                    ref.run(*ref.compile(prefix, d), q_pre, k_pre, v_pre, 0.25f);
+                for (int h = 0; h < heads; ++h)
+                    for (int x = 0; x < d; ++x)
+                        ASSERT_EQ(got.output[h](0, x), full.output[h](t, x))
+                            << "t=" << t << " h=" << h << " x=" << x;
+            }
+            session.close();
+            const SessionStats st = session.stats();
+            EXPECT_EQ(st.completed, static_cast<std::uint64_t>(steps));
+            EXPECT_EQ(st.plan_cache.step_relabels,
+                      static_cast<std::uint64_t>(steps - (t0 + sp.period)));
+        }
+    }
 }
 
 TEST(DecodeSession, ConcurrentStreamsBitIdenticalAndConserved) {

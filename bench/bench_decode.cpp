@@ -1,10 +1,12 @@
 // bench_decode: streaming-decode throughput and correctness gates.
 //
-//   bench_decode [--quick] [--steps N] [--seed S] [--json <path>] [--soak]
+//   bench_decode [--quick] [--steps N] [--seed S] [--threads N] [--json <path>]
+//                [--soak | --lone-step]
 //
 // Throughput mode (default): drives the DecodeSession at 1, 64 and 4096
 // concurrent streams over a decode-compatible hybrid pattern (64-wide
-// causal band + 2 global tokens) and reports tokens/s per level. The 4096
+// causal band + 2 global tokens) and reports tokens/s per level (the
+// 1-stream level as the median of 15 runs). The 4096
 // streams share 64 seeded input classes, so correctness is affordable:
 // one full per-prefix encode chain is computed per class, and EVERY step
 // output of EVERY stream is byte-compared against row t of the full
@@ -20,9 +22,21 @@
 // tenant), and eviction bookkeeping (every failed stream counted). This
 // is the `decode_soak` ctest, also run under TSan in CI.
 //
+// Lone-step mode (--lone-step): the single-stream costs docs/PERFORMANCE.md
+// "Work-sized decode steps" records, on a Longformer-shaped stream (12 heads
+// x 64, causal span 256, global token 0). First a span sweep of one
+// engine-only run_step at 1 lane vs the whole pool (wall and process CPU per
+// step), the measurement behind kStepFanOutWork. Then, at num_threads 1 and
+// the hardware thread count, the steady-state DecodeSession step p50 beside
+// the engine-only step p50 (append, plan lookup, assemble, run_step called
+// directly); exit code 1 if the median per-position ratio of the two
+// exceeds 1.5x.
+//
+// --threads sets SaloConfig::num_threads (default: hardware threads).
 // --json writes the machine-readable snapshot recorded as
 // BENCH_decode.json at the repo root (see docs/PERFORMANCE.md for the
-// tokens/s methodology).
+// tokens/s methodology), with the host's ISA, thread count and CPU model.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -108,6 +122,32 @@ std::vector<Matrix<float>> reference_chain(const SaloEngine& engine,
         expected.push_back(std::move(row));
     }
     return expected;
+}
+
+/// The host's CPU model string ("unknown" without /proc/cpuinfo).
+std::string cpu_model() {
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0) continue;
+        const auto colon = line.find(':');
+        if (colon == std::string::npos) break;
+        const auto first = line.find_first_not_of(' ', colon + 1);
+        return first == std::string::npos ? "unknown" : line.substr(first);
+    }
+    return "unknown";
+}
+
+double process_cpu_us() {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e6 + static_cast<double>(ts.tv_nsec) / 1e3;
+}
+
+double median_of(std::vector<double> v) {
+    if (v.empty()) return 0.0;
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
 }
 
 bool rows_equal(const Matrix<float>& a, const Matrix<float>& b) {
@@ -308,17 +348,166 @@ SoakResult run_soak(const SaloConfig& config, const DecodeShape& shape,
     return out;
 }
 
+// --- Lone-step mode ---------------------------------------------------------
+
+constexpr int kLoneHeads = 12;
+constexpr int kLoneHeadDim = 64;
+
+std::vector<Band> lone_bands(int span) { return {Band{-(span - 1), span, 1, 0}}; }
+
+HybridPattern lone_prefix(int span, int length) {
+    return HybridPattern(length, lone_bands(span), {0});
+}
+
+/// Engine-only run_step at one span, 1 lane vs `pool` lanes, the two
+/// alternating call by call so host noise hits both alike: wall p50 and
+/// mean process CPU per call of each.
+struct StepCost {
+    double wall_us = 0.0;
+    double cpu_us = 0.0;
+};
+
+std::pair<StepCost, StepCost> time_run_step(const SaloEngine& engine, int span, int pool,
+                                            int reps) {
+    Rng rng(static_cast<std::uint64_t>(span));
+    DecodeState state(kLoneHeads, kLoneHeadDim, span, {0});
+    const int t = span + 64;  // ring full, the global pinned
+    for (int p = 0; p <= t; ++p)
+        state.append(random_matrix(kLoneHeads, kLoneHeadDim, rng),
+                     random_matrix(kLoneHeads, kLoneHeadDim, rng));
+    const Matrix<float> q = random_matrix(kLoneHeads, kLoneHeadDim, rng);
+    const CompiledPlanPtr micro = engine.compile_step(lone_prefix(span, t + 1), kLoneHeadDim);
+    const auto [kq, vq] = state.assemble_quantized();
+    std::vector<double> wall[2];
+    double cpu[2] = {0.0, 0.0};
+    for (int r = -1; r < reps; ++r) {  // r = -1 warms the pool and caches
+        for (int side = 0; side < 2; ++side) {
+            RunOptions options;
+            options.thread_budget = side == 0 ? 1 : pool;
+            const double cpu0 = process_cpu_us();
+            const auto t0 = std::chrono::steady_clock::now();
+            (void)engine.run_step(*micro, q, kq, vq, 0.125f, options);
+            if (r < 0) continue;
+            wall[side].push_back(ms_between(t0, std::chrono::steady_clock::now()) * 1e3);
+            cpu[side] += process_cpu_us() - cpu0;
+        }
+    }
+    return {StepCost{median_of(wall[0]), cpu[0] / reps},
+            StepCost{median_of(wall[1]), cpu[1] / reps}};
+}
+
+/// Steady-state step p50 (positions >= T0 + P of later streams, after a
+/// first stream of the same shape warmed the plans): engine-only (the work
+/// DecodeSession::execute does, called directly) and through a one-shard
+/// DecodeSession, the two alternating position by position; plus the
+/// median of the per-position session / engine-only ratios, which cancels
+/// host drift slower than a step.
+struct LoneStep {
+    double engine_us = 0.0;
+    double session_us = 0.0;
+    double ratio = 0.0;
+};
+
+LoneStep lone_step_p50(const SaloConfig& config, int horizon) {
+    const int span = 256;
+    const float scale = 0.125f;
+    Rng rng(7);
+    std::vector<Matrix<float>> q, k, v;
+    for (int t = 0; t < horizon; ++t) {
+        q.push_back(random_matrix(kLoneHeads, kLoneHeadDim, rng));
+        k.push_back(random_matrix(kLoneHeads, kLoneHeadDim, rng));
+        v.push_back(random_matrix(kLoneHeads, kLoneHeadDim, rng));
+    }
+    const StepPeriod sp = step_period(lone_prefix(span, horizon), config.geometry);
+    const int steady = sp.start + sp.period;
+
+    const SaloEngine engine(config);
+    DecodeSession session(config);
+    std::vector<double> engine_us, session_us, ratios;
+    Tensor3<std::int8_t> kq, vq;
+    for (int pass = 0; pass < 3; ++pass) {
+        DecodeState state(kLoneHeads, kLoneHeadDim, span, {0});
+        const StreamId id =
+            session.open_stream(lone_prefix(span, horizon), kLoneHeads, kLoneHeadDim, scale);
+        for (int t = 0; t < horizon; ++t) {
+            const auto ts = static_cast<std::size_t>(t);
+            auto t0 = std::chrono::steady_clock::now();
+            state.append(k[ts], v[ts]);
+            const CompiledPlanPtr micro =
+                engine.compile_step(lone_prefix(span, t + 1), kLoneHeadDim);
+            state.assemble_quantized(kq, vq);
+            (void)engine.run_step(*micro, q[ts], kq, vq, scale);
+            const double engine_step = ms_between(t0, std::chrono::steady_clock::now()) * 1e3;
+
+            StepRequest req;
+            req.q_row = q[ts];
+            req.k_row = k[ts];
+            req.v_row = v[ts];
+            t0 = std::chrono::steady_clock::now();
+            (void)session.step(id, std::move(req)).get();
+            const double session_step = ms_between(t0, std::chrono::steady_clock::now()) * 1e3;
+            if (pass > 0 && t >= steady) {
+                engine_us.push_back(engine_step);
+                session_us.push_back(session_step);
+                ratios.push_back(session_step / engine_step);
+            }
+        }
+        session.close_stream(id);
+    }
+    return LoneStep{median_of(engine_us), median_of(session_us), median_of(ratios)};
+}
+
+int run_lone_step(bool quick) {
+    const int pool = default_num_threads();
+    std::printf("lone decode steps: %d heads x %d, causal span + global 0\n\n", kLoneHeads,
+                kLoneHeadDim);
+    std::printf("engine-only run_step, 1 lane vs %d-lane pool (kStepFanOutWork = %lld):\n",
+                pool, static_cast<long long>(kStepFanOutWork));
+    std::printf("  %5s %9s %11s %10s %11s %10s %s\n", "span", "work", "1-lane wall",
+                "1-lane cpu", "pool wall", "pool cpu", "auto");
+    SaloConfig config;
+    config.num_threads = pool;
+    const SaloEngine engine(config);
+    for (const int span : {256, 512, 1024, 2048, 4096}) {
+        const int reps = quick ? 20 : std::max(50, 100000 / span);
+        const auto [one, all] = time_run_step(engine, span, pool, reps);
+        const std::int64_t work = std::int64_t{kLoneHeads} * (span + 1) * kLoneHeadDim;
+        std::printf("  %5d %8.2fM %9.0f us %7.0f us %8.0f us %7.0f us %s\n", span,
+                    static_cast<double>(work) / 1e6, one.wall_us, one.cpu_us, all.wall_us,
+                    all.cpu_us, step_threads(0, pool, work) == 1 ? "inline" : "pool");
+    }
+
+    const int horizon = quick ? 320 : 1024;
+    std::printf("\nsteady-state step p50, span 256 (positions >= T0 + P of a warm shape):\n");
+    bool within = true;
+    for (const int threads : {1, pool}) {
+        SaloConfig c;
+        c.num_threads = threads;
+        const LoneStep r = lone_step_p50(c, horizon);
+        within = within && r.ratio <= 1.5;
+        std::printf("  num_threads %d: engine-only %.0f us, DecodeSession %.0f us, "
+                    "median ratio %.2fx (target <= 1.5x)\n",
+                    threads, r.engine_us, r.session_us, r.ratio);
+    }
+    return within ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
     bool quick = false;
     bool soak = false;
+    bool lone_step = false;
+    int threads = 0;
     int steps = 32;
     std::uint64_t seed = 42;
     std::string json_path;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) quick = true;
         else if (std::strcmp(argv[i], "--soak") == 0) soak = true;
+        else if (std::strcmp(argv[i], "--lone-step") == 0) lone_step = true;
+        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
+            threads = std::atoi(argv[++i]);
         else if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc)
             steps = std::atoi(argv[++i]);
         else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
@@ -327,24 +516,27 @@ int main(int argc, char** argv) {
             json_path = argv[++i];
         else {
             std::fprintf(stderr,
-                         "usage: bench_decode [--quick] [--soak] [--steps N] "
-                         "[--seed S] [--json path]\n");
+                         "usage: bench_decode [--quick] [--soak | --lone-step] "
+                         "[--steps N] [--seed S] [--threads N] [--json path]\n");
             return 2;
         }
     }
+    if (lone_step) return run_lone_step(quick);
     if (quick) steps = std::min(steps, 8);
     if (steps < 4) steps = 4;
 
     const DecodeShape shape;
     SaloConfig config;
-    config.plan_cache_capacity = 4 * steps;  // full + micro plan per position
+    if (threads > 0) config.num_threads = threads;
+    config.plan_cache_capacity = 2 * steps;  // the reference: one full plan per prefix
 
     std::printf("streaming decode: band span %d + %zu globals, heads %d, d %d, "
                 "%d steps per stream\n",
                 decode_window_span(shape.bands), shape.globals.size(), shape.heads,
                 shape.head_dim, steps);
-    std::printf("kernel ISA: %s, hardware threads: %d\n\n", kernels::isa_name(),
-                default_num_threads());
+    std::printf("kernel ISA: %s, hardware threads: %d, num_threads: %d, CPU: %s\n\n",
+                kernels::isa_name(), default_num_threads(), config.effective_threads(),
+                cpu_model().c_str());
 
     // 64 seeded input classes shared by every level (and the soak), with
     // one full per-prefix reference encode chain per class.
@@ -393,7 +585,17 @@ int main(int argc, char** argv) {
     std::vector<LevelResult> results;
     bool all_identical = true;
     for (int streams : levels) {
-        const LevelResult r = run_level(config, shape, classes, expected, streams, steps);
+        // One stream's level lasts a few milliseconds, so a single run is
+        // mostly host noise: it runs 15 times (3 with --quick) and reports
+        // the median run, bit-identical only if every run was.
+        std::vector<LevelResult> runs;
+        for (int rep = streams == 1 ? (quick ? 3 : 15) : 1; rep > 0; --rep)
+            runs.push_back(run_level(config, shape, classes, expected, streams, steps));
+        std::sort(runs.begin(), runs.end(), [](const LevelResult& a, const LevelResult& b) {
+            return a.tokens_per_s < b.tokens_per_s;
+        });
+        LevelResult r = runs[runs.size() / 2];
+        for (const LevelResult& run : runs) r.bit_identical = r.bit_identical && run.bit_identical;
         std::printf("%5d streams: %7llu steps in %8.1f ms -> %9.0f tokens/s  "
                     "(batches %llu, max batch %zu, step derives %llu, "
                     "bit-identical %s)\n",
@@ -425,6 +627,8 @@ int main(int argc, char** argv) {
            << "  \"fidelity\": \"functional\",\n"
            << "  \"kernel_isa\": \"" << kernels::isa_name() << "\",\n"
            << "  \"hardware_threads\": " << default_num_threads() << ",\n"
+           << "  \"num_threads\": " << config.effective_threads() << ",\n"
+           << "  \"cpu_model\": \"" << cpu_model() << "\",\n"
            << "  \"levels\": [\n";
         for (std::size_t i = 0; i < results.size(); ++i) {
             const LevelResult& r = results[i];

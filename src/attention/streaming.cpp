@@ -4,10 +4,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "common/assert.hpp"
-#include "numeric/quantize.hpp"
+#include "numeric/fixed.hpp"
 
 namespace salo {
 
@@ -48,19 +49,26 @@ int DecodeState::num_pinned() const {
 int DecodeState::compact_rows() const { return num_pinned() + (length_ - window_lo()); }
 
 template <typename T>
-void DecodeState::store(RowStore<T>& rows, const Matrix<T>& row, bool is_global) {
-    const int slot = length_ % span_;  // overwriting = window-boundary eviction
-    for (int h = 0; h < heads_; ++h) {
-        const std::span<const T> src = row.row(h);
-        std::vector<T>& ring = rows.ring[static_cast<std::size_t>(h)];
-        if (length_ < span_)
-            ring.insert(ring.end(), src.begin(), src.end());
+void DecodeState::store(RowStore<T>& rows, const Matrix<float>& row, bool is_global) {
+    const auto slot = static_cast<std::size_t>(length_ % span_);  // overwriting = eviction
+    const auto d = static_cast<std::size_t>(head_dim_);
+    const auto convert = [](float x) -> T {
+        if constexpr (std::is_same_v<T, float>)
+            return x;
         else
-            std::ranges::copy(src, ring.begin() + static_cast<std::ptrdiff_t>(slot) *
-                                                       head_dim_);
+            return InputFx::from_float(x).raw();
+    };
+    for (int h = 0; h < heads_; ++h) {
+        const std::span<const float> src = row.row(h);
+        std::vector<T>& ring = rows.ring[static_cast<std::size_t>(h)];
+        if (length_ < span_) ring.resize(ring.size() + d);  // within the reserved capacity
+        std::ranges::transform(src, ring.begin() + static_cast<std::ptrdiff_t>(slot * d),
+                               convert);
         // Globals arrive in ascending order, so pins append in order too.
+        if (!is_global) continue;
         std::vector<T>& pin = rows.pin[static_cast<std::size_t>(h)];
-        if (is_global) pin.insert(pin.end(), src.begin(), src.end());
+        pin.resize(pin.size() + d);
+        std::ranges::transform(src, pin.end() - static_cast<std::ptrdiff_t>(d), convert);
     }
 }
 
@@ -70,8 +78,10 @@ void DecodeState::append(const Matrix<float>& k_row, const Matrix<float>& v_row)
     const bool is_global = std::binary_search(globals_.begin(), globals_.end(), length_);
     store(k_, k_row, is_global);
     store(v_, v_row, is_global);
-    store(kq_, quantize<InputFx>(k_row), is_global);
-    store(vq_, quantize<InputFx>(v_row), is_global);
+    // Quantization is elementwise: these are the bits quantize<InputFx>
+    // gives for the same rows.
+    store(kq_, k_row, is_global);
+    store(vq_, v_row, is_global);
     ++length_;
 }
 
@@ -85,7 +95,7 @@ int DecodeState::compact_index(int j) const {
 }
 
 template <typename T>
-Tensor3<T> DecodeState::assemble_rows(const RowStore<T>& rows) const {
+void DecodeState::assemble_rows(const RowStore<T>& rows, Tensor3<T>& out) const {
     const int np = num_pinned();
     const int lo = window_lo();
     // The window lo..L-1 is at most two contiguous slot runs: from slot
@@ -94,7 +104,8 @@ Tensor3<T> DecodeState::assemble_rows(const RowStore<T>& rows) const {
     const int first = lo % span_;
     const int run1 = std::min(live, span_ - first);
     const auto d = static_cast<std::size_t>(head_dim_);
-    Tensor3<T> out(heads_, np + live, head_dim_);
+    if (out.count() != heads_ || out.rows() != np + live)
+        out = Tensor3<T>(heads_, np + live, head_dim_);
     for (int h = 0; h < heads_; ++h) {
         T* dst = out[h].data().data();
         const auto copy_rows = [&](const std::vector<T>& from, int row, int count) {
@@ -107,16 +118,26 @@ Tensor3<T> DecodeState::assemble_rows(const RowStore<T>& rows) const {
         copy_rows(rows.ring[static_cast<std::size_t>(h)], first, run1);
         copy_rows(rows.ring[static_cast<std::size_t>(h)], 0, live - run1);
     }
-    return out;
 }
 
 std::pair<Tensor3<float>, Tensor3<float>> DecodeState::assemble() const {
-    return {assemble_rows(k_), assemble_rows(v_)};
+    std::pair<Tensor3<float>, Tensor3<float>> out;
+    assemble_rows(k_, out.first);
+    assemble_rows(v_, out.second);
+    return out;
 }
 
 std::pair<Tensor3<std::int8_t>, Tensor3<std::int8_t>> DecodeState::assemble_quantized()
     const {
-    return {assemble_rows(kq_), assemble_rows(vq_)};
+    std::pair<Tensor3<std::int8_t>, Tensor3<std::int8_t>> out;
+    assemble_quantized(out.first, out.second);
+    return out;
+}
+
+void DecodeState::assemble_quantized(Tensor3<std::int8_t>& k,
+                                     Tensor3<std::int8_t>& v) const {
+    assemble_rows(kq_, k);
+    assemble_rows(vq_, v);
 }
 
 Matrix<float> streaming_masked_attention(const Matrix<float>& q, const Matrix<float>& k,

@@ -96,6 +96,12 @@ public:
     /// The same layout of the rows quantized at append() (InputFx raw).
     std::pair<Tensor3<std::int8_t>, Tensor3<std::int8_t>> assemble_quantized() const;
 
+    /// assemble_quantized() into `k` and `v`, reshaped only when the
+    /// compact row count changed. A caller that keeps one pair per thread
+    /// assembles with no allocation once the ring is full, and many
+    /// streams share a few cache-hot buffers.
+    void assemble_quantized(Tensor3<std::int8_t>& k, Tensor3<std::int8_t>& v) const;
+
 private:
     /// One element type's retained rows, per head, head_dim wide and
     /// row-major: the ring (slot = p % window_span; filled by append up to
@@ -107,13 +113,15 @@ private:
         std::vector<std::vector<T>> pin;
     };
 
-    /// Write position length()'s rows (heads x head_dim) into `rows`.
+    /// Write position length()'s rows (heads x head_dim) into `rows`,
+    /// quantized to InputFx raw when T is int8.
     template <typename T>
-    void store(RowStore<T>& rows, const Matrix<T>& row, bool is_global);
+    void store(RowStore<T>& rows, const Matrix<float>& row, bool is_global);
 
-    /// Copy the live rows of `rows` into the compact layout.
+    /// Copy the live rows of `rows` into the compact layout in `out`,
+    /// reshaping it only when the row count changed.
     template <typename T>
-    Tensor3<T> assemble_rows(const RowStore<T>& rows) const;
+    void assemble_rows(const RowStore<T>& rows, Tensor3<T>& out) const;
 
     int heads_;
     int head_dim_;

@@ -199,7 +199,7 @@ CompiledPlan relabel_micro_plan(const CompiledPlan& tmpl, const HybridPattern& p
     step.window_lo = t - (step.window_span - 1);
     const std::uint64_t full_key =
         plan_fingerprint(prefix, tmpl.head_dim(), tmpl.geometry(), tmpl.options());
-    return CompiledPlan(prefix, tmpl.plan(), step_plan_fingerprint(full_key, t), step);
+    return CompiledPlan(prefix, tmpl.plan_, step_plan_fingerprint(full_key, t), step);
 }
 
 }  // namespace salo

@@ -44,16 +44,23 @@ public:
     /// rather than this ctor. `step` is set only on micro-plans.
     CompiledPlan(HybridPattern pattern, SchedulePlan plan, std::uint64_t fingerprint,
                  std::optional<StepGeometry> step = std::nullopt)
+        : CompiledPlan(std::move(pattern),
+                       std::make_shared<const SchedulePlan>(std::move(plan)), fingerprint,
+                       step) {}
+    /// Shares `plan` with other artifacts (relabel_micro_plan reuses its
+    /// template's tiles instead of copying them).
+    CompiledPlan(HybridPattern pattern, std::shared_ptr<const SchedulePlan> plan,
+                 std::uint64_t fingerprint, std::optional<StepGeometry> step = std::nullopt)
         : pattern_(std::move(pattern)), plan_(std::move(plan)),
           fingerprint_(fingerprint), step_(step) {}
 
     const HybridPattern& pattern() const { return pattern_; }
-    int n() const { return plan_.n; }
-    int head_dim() const { return plan_.head_dim; }
-    const ArrayGeometry& geometry() const { return plan_.geometry; }
-    const ScheduleOptions& options() const { return plan_.options; }
-    const SchedulePlan& plan() const { return plan_; }
-    const ScheduleStats& schedule_stats() const { return plan_.stats; }
+    int n() const { return plan_->n; }
+    int head_dim() const { return plan_->head_dim; }
+    const ArrayGeometry& geometry() const { return plan_->geometry; }
+    const ScheduleOptions& options() const { return plan_->options; }
+    const SchedulePlan& plan() const { return *plan_; }
+    const ScheduleStats& schedule_stats() const { return plan_->stats; }
     std::uint64_t fingerprint() const { return fingerprint_; }
 
     /// True for a decode micro-plan: plan().n is then the compact key-row
@@ -66,8 +73,11 @@ public:
     }
 
 private:
+    friend CompiledPlan relabel_micro_plan(const CompiledPlan& tmpl,
+                                           const HybridPattern& prefix);
+
     HybridPattern pattern_;
-    SchedulePlan plan_;
+    std::shared_ptr<const SchedulePlan> plan_;
     std::uint64_t fingerprint_;
     std::optional<StepGeometry> step_;
 };
@@ -136,7 +146,7 @@ StepPeriod step_period(const HybridPattern& pattern, const ArrayGeometry& geomet
 
 /// The micro-plan for the last row of `prefix`, built from `tmpl`, the
 /// micro-plan of an earlier position s of the same stream shape, without
-/// running the scheduler: the tiles are copied and the position, window_lo,
+/// running the scheduler: the tiles are shared and the position, window_lo,
 /// fingerprint and pattern are set for t = prefix.n() - 1. Equal to
 /// derive_micro_plan(compile(prefix)) when s >= T0 and (t - s) % P == 0
 /// (checked, with the bands and globals of both patterns).

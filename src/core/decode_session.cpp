@@ -15,9 +15,21 @@ void fail_promise(std::promise<StepResult>& promise, Error error) {
     promise.set_exception(std::make_exception_ptr(std::move(error)));
 }
 
+/// The compact K/V of the steps this thread executes, kept across steps:
+/// a steady-state step assembles without allocating, and thousands of
+/// streams share a few cache-hot buffers instead of one each.
+struct StepBuffers {
+    Tensor3<std::int8_t> k, v;
+};
+
+StepBuffers& step_buffers() {
+    thread_local StepBuffers buffers;
+    return buffers;
+}
+
 /// The prefix pattern a stream sees at length L: same bands, globals
 /// clipped to [0, L). Scheduler inputs depend on n, so each prefix length
-/// is its own full plan + micro-plan (both cached by fingerprint).
+/// is its own micro-plan.
 HybridPattern prefix_pattern(const HybridPattern& full, int length) {
     std::vector<int> globals;
     for (int g : full.global_tokens()) {
@@ -334,9 +346,10 @@ DecodeSession::Outcome DecodeSession::execute(ExecItem& item, int thread_budget)
             item.step.promise.set_value(
                 engine.run_step(*micro, request.q_row, k, v, stream.scale, run_options));
         } else {
-            const auto [kq, vq] = stream.state.assemble_quantized();
+            StepBuffers& kv = step_buffers();
+            stream.state.assemble_quantized(kv.k, kv.v);
             item.step.promise.set_value(
-                engine.run_step(*micro, request.q_row, kq, vq, stream.scale, run_options));
+                engine.run_step(*micro, request.q_row, kv.k, kv.v, stream.scale, run_options));
         }
         record(CircuitBreaker::Outcome::success);
         return Outcome::ok;
@@ -420,7 +433,10 @@ void DecodeSession::serve_loop() {
 
         outcome.assign(batch.size(), Outcome::ok);
         if (batch.size() == 1) {
-            // Idle tier: the lone step gets its shard's whole pool.
+            // Idle tier: an automatic budget sizes the lone step by its
+            // work (step_threads) — a small step runs right here on the
+            // dispatcher and never wakes the pool; a large one fans its
+            // heads out over the shard's pool.
             outcome[0] = execute(batch[0], /*thread_budget=*/0);
         } else if (!batch.empty()) {
             // Step-level parallelism, grouped per shard so each group runs

@@ -21,8 +21,10 @@
 // stream into one batch — steps of one stream always execute in submission
 // order (the K/V append log is strictly ordered), steps of different
 // streams run concurrently on the engine pools (budget 1 each), and a lone
-// step gets the whole pool, mirroring SaloSession's two batch shapes. Every
-// completed step is bit-identical to row t of the full-prefix encode.
+// step gets a work-sized budget (step_threads): small steps run inline on
+// the dispatcher, only steps above kStepFanOutWork fan their heads out over
+// the pool. Every completed step is bit-identical to row t of the
+// full-prefix encode.
 //
 // State affinity (the contract docs/API.md "Decode lifecycle" documents):
 // a stream's DecodeState lives on exactly one engine shard, picked by

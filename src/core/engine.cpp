@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "attention/golden.hpp"
 #include "numeric/quantize.hpp"
@@ -60,7 +61,46 @@ private:
     CycleBreakdown last_breakdown_;
 };
 
+/// Buffers of one decode-step head, reused by every head and step that
+/// runs on the same thread (a dispatcher, a pool worker, a caller), so a
+/// steady-state step allocates only its output.
+struct StepScratch {
+    Matrix<std::int8_t> qq;  ///< the scaled, quantized query row (1 x d)
+    PartArena arena;
+    PartScratch part;
+    std::vector<TilePart> parts;  ///< reference and cycle-accurate paths
+    std::optional<WeightedSumModule> wsm;
+};
+
+StepScratch& step_scratch() {
+    thread_local StepScratch scratch;
+    return scratch;
+}
+
+/// Work units per K/V value the float run_step overload requantizes: one
+/// InputFx::from_float costs ~6 ns, ~10x a datapath work unit (an int8
+/// span-256 step: ~130 us for 0.2M units) on the sweep host.
+constexpr int kQuantizeWork = 10;
+
 }  // namespace
+
+// Crossover of the automatic decode-step budget, from `bench_decode
+// --lone-step`: engine-only int8 run_step, 12 heads x 64, causal span +
+// global 0, 1 lane -> the 4-lane pool, median of 3 runs on a 4-thread
+// AVX-512 host (docs/PERFORMANCE.md "Work-sized decode steps"):
+//   span  256 (work 0.20M): wall  113 ->  54 us, CPU  107 ->  152 us (+42 %)
+//   span  512 (work 0.39M): wall  203 ->  97 us, CPU  210 ->  272 us (+30 %)
+//   span 1024 (work 0.79M): wall  286 -> 152 us, CPU  300 ->  439 us (+46 %)
+//   span 2048 (work 1.57M): wall  724 -> 275 us, CPU  732 ->  849 us (+16 %)
+//   span 4096 (work 3.15M): wall 1564 -> 621 us, CPU 1523 -> 1772 us (+16 %)
+// The pool about halves the wall time at every span, but below ~1M work
+// each step pays 30-46 % more CPU for it; above, ~16 %.
+const std::int64_t kStepFanOutWork = std::int64_t{1} << 20;
+
+int step_threads(int thread_budget, int configured_threads, std::int64_t work) {
+    if (thread_budget > 0) return thread_budget;
+    return work > kStepFanOutWork ? configured_threads : 1;
+}
 
 SaloEngine::SaloEngine() : SaloEngine(SaloConfig{}) {}
 
@@ -347,13 +387,12 @@ HeadResult SaloEngine::run_head_parallel(const SchedulePlan& plan, Fidelity fide
 // Incremental decode: one query row against the compact K/V layout.
 // ---------------------------------------------------------------------------
 
-HeadResult SaloEngine::golden_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
-                                        int head, const Matrix<float>& k,
-                                        const Matrix<float>& v, float scale,
-                                        const RunControl* ctl) const {
+SimStats SaloEngine::golden_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
+                                      int head, const Matrix<float>& k,
+                                      const Matrix<float>& v, float scale,
+                                      const RunControl* ctl, Matrix<float>& out) const {
     const StepGeometry& sg = micro.step();
     const int d = micro.head_dim();
-    HeadResult result;
     if (ctl != nullptr) ctl->check(-1);
     // masked_attention's row loop for row t, with absolute key positions
     // mapped into the compact layout. The compact rows are copies of the
@@ -372,7 +411,7 @@ HeadResult SaloEngine::golden_step_head(const CompiledPlan& micro, const Matrix<
     std::vector<double> scores;
     for (int j = 0; j <= t; ++j)
         if (pattern.attends(t, j)) cols.push_back(j);
-    Matrix<float> out(1, d, 0.0f);
+    for (int x = 0; x < d; ++x) out(0, x) = 0.0f;
     if (!cols.empty()) {
         double mx = -std::numeric_limits<double>::infinity();
         for (int j : cols) {
@@ -397,73 +436,70 @@ HeadResult SaloEngine::golden_step_head(const CompiledPlan& micro, const Matrix<
                 out(0, x) += static_cast<float>(w * static_cast<double>(v(cj, x)));
         }
     }
-    result.output = std::move(out);
-    return result;
+    return SimStats{};
 }
 
-HeadResult SaloEngine::run_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
-                                     int head, const Matrix<std::int8_t>& kq,
-                                     const Matrix<std::int8_t>& vq, float scale,
-                                     Fidelity fidelity, const RunControl* ctl) const {
+SimStats SaloEngine::run_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
+                                   int head, const Matrix<std::int8_t>& kq,
+                                   const Matrix<std::int8_t>& vq, float scale,
+                                   Fidelity fidelity, const RunControl* ctl,
+                                   Matrix<float>& out) const {
     const int d = micro.head_dim();
-    HeadResult result;
+    SimStats stats;
+    StepScratch& scratch = step_scratch();
 
     // Quantization is elementwise, so the single scaled query row and the
     // compact K/V rows (quantized at append) carry exactly the bits the
     // full-prefix run produces for the same rows.
-    Matrix<float> q_scaled(1, d, 0.0f);
-    for (int x = 0; x < d; ++x) q_scaled(0, x) = q_row(head, x) * scale;
-    const Matrix<std::int8_t> qq = quantize<InputFx>(q_scaled);
+    if (scratch.qq.cols() != d) scratch.qq = Matrix<std::int8_t>(1, d, 0);
+    for (int x = 0; x < d; ++x)
+        scratch.qq(0, x) = InputFx::from_float(q_row(head, x) * scale).raw();
+    const Matrix<std::int8_t>& qq = scratch.qq;
 
     const SchedulePlan& plan = micro.plan();
     const int num_tiles = static_cast<int>(plan.tiles.size());
-    WeightedSumModule wsm(1, d, recip_unit_);
+    if (scratch.wsm)
+        scratch.wsm->reset(1, d, recip_unit_);
+    else
+        scratch.wsm.emplace(1, d, recip_unit_);
+    WeightedSumModule& wsm = *scratch.wsm;
     TileAccountant accountant(config_, d);
+    std::vector<TilePart>& parts = scratch.parts;
 
     if (fidelity == Fidelity::kFunctional) {
         const TileExecutor exec(exp_unit_, recip_unit_, qq, kq, vq);
-        if (config_.reference_datapath) {
-            std::vector<TilePart> parts;
-            for (int t = 0; t < num_tiles; ++t) {
-                if (ctl != nullptr) ctl->check(t);
-                const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
+        for (int t = 0; t < num_tiles; ++t) {
+            if (ctl != nullptr) ctl->check(t);
+            const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
+            if (config_.reference_datapath) {
                 parts.clear();
-                exec.run(tile, parts, result.stats.activity);
+                exec.run(tile, parts, stats.activity);
                 for (const TilePart& p : parts) wsm.merge(p);
-                const CycleBreakdown& b = accountant.account(tile, result.stats);
-                result.stats.activity.pe_cycles +=
-                    static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
+            } else {
+                scratch.arena.reset();
+                exec.run(tile, scratch.arena, stats.activity, scratch.part);
+                for (std::size_t i = 0; i < scratch.arena.used(); ++i)
+                    wsm.merge(scratch.arena.at(i));
             }
-        } else {
-            PartArena arena;
-            PartScratch scratch;
-            for (int t = 0; t < num_tiles; ++t) {
-                if (ctl != nullptr) ctl->check(t);
-                const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-                arena.reset();
-                exec.run(tile, arena, result.stats.activity, scratch);
-                for (std::size_t i = 0; i < arena.used(); ++i) wsm.merge(arena.at(i));
-                const CycleBreakdown& b = accountant.account(tile, result.stats);
-                result.stats.activity.pe_cycles +=
-                    static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
-            }
+            const CycleBreakdown& b = accountant.account(tile, stats);
+            stats.activity.pe_cycles +=
+                static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
         }
     } else {
         const CycleAccurateArray array(config_.geometry, config_.cycle_config(), exp_unit_,
                                        recip_unit_, qq, kq, vq);
-        std::vector<TilePart> parts;
         for (int t = 0; t < num_tiles; ++t) {
             if (ctl != nullptr) ctl->check(t);
             const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
             parts.clear();
-            array.run(tile, parts, result.stats.activity);
+            array.run(tile, parts, stats.activity);
             for (const TilePart& p : parts) wsm.merge(p);
-            accountant.account(tile, result.stats);
+            accountant.account(tile, stats);
         }
     }
 
-    result.output = wsm.finalize();
-    return result;
+    wsm.finalize_into(out);
+    return stats;
 }
 
 CompiledPlanPtr SaloEngine::compile_step(const HybridPattern& pattern,
@@ -474,7 +510,8 @@ CompiledPlanPtr SaloEngine::compile_step(const HybridPattern& pattern,
 template <typename T, typename HeadFn>
 StepResult SaloEngine::run_step_heads(const CompiledPlan& micro, const Matrix<float>& q_row,
                                       const Tensor3<T>& k, const Tensor3<T>& v,
-                                      const RunOptions& options, HeadFn&& head_fn) const {
+                                      const RunOptions& options, int work_per_value,
+                                      HeadFn&& head_fn) const {
     check_compatible(micro);
     SALO_EXPECTS(micro.is_step());
     const StepGeometry& sg = micro.step();
@@ -493,23 +530,19 @@ StepResult SaloEngine::run_step_heads(const CompiledPlan& micro, const Matrix<fl
     result.position = sg.position;
     result.output = Tensor3<float>(heads, 1, d);
 
+    const std::int64_t work = std::int64_t{heads} * sg.compact_rows * d * work_per_value;
     const int threads =
-        options.thread_budget <= 0 ? config_.effective_threads() : options.thread_budget;
-    std::vector<HeadResult> head_results(static_cast<std::size_t>(heads));
+        step_threads(options.thread_budget, config_.effective_threads(), work);
     if (threads > 1 && heads > 1) {
         // Heads are independent; a step's per-head tile loop is tiny, so a
         // head is the only sensible work quantum.
+        std::vector<SimStats> head_stats(static_cast<std::size_t>(heads));
         pool().parallel_for(heads, [&](int h, int) {
-            head_results[static_cast<std::size_t>(h)] = head_fn(h, ctl);
+            head_stats[static_cast<std::size_t>(h)] = head_fn(h, ctl, result.output[h]);
         });
+        for (const SimStats& s : head_stats) result.stats += s;
     } else {
-        for (int h = 0; h < heads; ++h)
-            head_results[static_cast<std::size_t>(h)] = head_fn(h, ctl);
-    }
-
-    for (int h = 0; h < heads; ++h) {
-        result.output[h] = std::move(head_results[static_cast<std::size_t>(h)].output);
-        result.stats += head_results[static_cast<std::size_t>(h)].stats;
+        for (int h = 0; h < heads; ++h) result.stats += head_fn(h, ctl, result.output[h]);
     }
     return result;
 }
@@ -519,22 +552,29 @@ StepResult SaloEngine::run_step(const CompiledPlan& micro, const Matrix<float>& 
                                 float scale, const RunOptions& options) const {
     const Fidelity fidelity = options.fidelity.value_or(config_.fidelity);
     SALO_EXPECTS(fidelity != Fidelity::kGolden);  // the float rows are gone
-    return run_step_heads(micro, q_row, kq, vq, options, [&](int h, const RunControl* ctl) {
-        return run_step_head(micro, q_row, h, kq[h], vq[h], scale, fidelity, ctl);
-    });
+    return run_step_heads(
+        micro, q_row, kq, vq, options, 1,
+        [&](int h, const RunControl* ctl, Matrix<float>& out) {
+            return run_step_head(micro, q_row, h, kq[h], vq[h], scale, fidelity, ctl, out);
+        });
 }
 
 StepResult SaloEngine::run_step(const CompiledPlan& micro, const Matrix<float>& q_row,
                                 const Tensor3<float>& k, const Tensor3<float>& v,
                                 float scale, const RunOptions& options) const {
     const Fidelity fidelity = options.fidelity.value_or(config_.fidelity);
-    return run_step_heads(micro, q_row, k, v, options, [&](int h, const RunControl* ctl) {
-        if (fidelity == Fidelity::kGolden)
-            return golden_step_head(micro, q_row, h, k[h], v[h], scale, ctl);
-        // Quantize, then the same integer core the int8 overload runs.
-        return run_step_head(micro, q_row, h, quantize<InputFx>(k[h]),
-                             quantize<InputFx>(v[h]), scale, fidelity, ctl);
-    });
+    // Requantizing K and V costs far more per value than the datapath does,
+    // so it weighs in the automatic budget.
+    const int work_per_value = fidelity == Fidelity::kGolden ? 1 : 1 + 2 * kQuantizeWork;
+    return run_step_heads(
+        micro, q_row, k, v, options, work_per_value,
+        [&](int h, const RunControl* ctl, Matrix<float>& out) {
+            if (fidelity == Fidelity::kGolden)
+                return golden_step_head(micro, q_row, h, k[h], v[h], scale, ctl, out);
+            // Quantize, then the same integer core the int8 overload runs.
+            return run_step_head(micro, q_row, h, quantize<InputFx>(k[h]),
+                                 quantize<InputFx>(v[h]), scale, fidelity, ctl, out);
+        });
 }
 
 // ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -81,7 +82,8 @@ struct RunOptions {
     /// Execution fidelity; defaults to the engine's configured fidelity.
     std::optional<Fidelity> fidelity;
     /// See run(plan, q, k, v, scale, fidelity, thread_budget): <= 0 means
-    /// the configured thread count, 1 forces the sequential path.
+    /// the configured thread count, 1 forces the sequential path. For
+    /// run_step, <= 0 means work-sized (step_threads).
     int thread_budget = 0;
     /// Checked at every tile boundary; fires RequestCancelled.
     CancellationToken cancel;
@@ -91,6 +93,18 @@ struct RunOptions {
     /// owned; must outlive the run. Overrides SaloConfig::fault_injector.
     const FaultInjector* fault_injector = nullptr;
 };
+
+/// Work of one decode step, heads x compact K/V rows x head_dim, above
+/// which an automatic thread budget fans the step's heads out over the
+/// engine pool. Below it the pool still halves a step's wall time but
+/// costs 30-46 % more CPU, so the step runs inline on the calling thread.
+/// Measured by a span sweep; see engine.cpp and docs/PERFORMANCE.md.
+extern const std::int64_t kStepFanOutWork;
+
+/// The lanes a decode step runs on: an explicit `thread_budget` > 0 as
+/// given; otherwise 1 while `work` <= kStepFanOutWork, else
+/// `configured_threads`.
+int step_threads(int thread_budget, int configured_threads, std::int64_t work);
 
 class SaloEngine {
 public:
@@ -145,9 +159,10 @@ public:
 
     /// The decode micro-plan for the last row of `pattern` (a prefix
     /// pattern: n = prefix length, step position = n - 1), resolved through
-    /// the engine's PlanCache — the full plan is compiled at most once per
-    /// shape and every step derivation is cached under its own
-    /// step_plan_fingerprint key. Requires decode_compatible(pattern).
+    /// the engine's PlanCache (PlanCache::get_or_derive_step): warm-up
+    /// positions are derived once per stream shape and kept in its step
+    /// family, later positions relabel a template, and nothing enters the
+    /// LRU of whole-sequence plans. Requires decode_compatible(pattern).
     CompiledPlanPtr compile_step(const HybridPattern& pattern, int head_dim) const;
 
     /// Execute one decode step: query row `position` of the micro-plan's
@@ -159,7 +174,9 @@ public:
     /// emits for that row, in the same order, through the same integer
     /// datapath. Robustness hooks behave as in run(). At functional and
     /// cycle-accurate fidelity this quantizes k/v and runs the int8
-    /// overload's core; golden fidelity computes in float.
+    /// overload's core; golden fidelity computes in float. An automatic
+    /// thread budget counts the requantization in the step's work
+    /// (step_threads), so a 12 x 64 span-256 step already fans out.
     StepResult run_step(const CompiledPlan& micro, const Matrix<float>& q_row,
                         const Tensor3<float>& k, const Tensor3<float>& v, float scale,
                         const RunOptions& options = {}) const;
@@ -168,7 +185,8 @@ public:
     /// (DecodeState::assemble_quantized()), so nothing is requantized.
     /// Functional and cycle-accurate fidelity only (ContractViolation at
     /// golden, which needs the float rows). Bit-identical to the float
-    /// overload on the float rows these were quantized from.
+    /// overload on the float rows these were quantized from. An automatic
+    /// thread budget runs steps up to kStepFanOutWork inline.
     StepResult run_step(const CompiledPlan& micro, const Matrix<float>& q_row,
                         const Tensor3<std::int8_t>& kq, const Tensor3<std::int8_t>& vq,
                         float scale, const RunOptions& options = {}) const;
@@ -272,26 +290,30 @@ private:
                                  ParallelWorkspace& ws,
                                  const RunControl* ctl = nullptr) const;
 
-    /// One head of one decode step on the integer datapath (sequential
-    /// tile loop; micro-plans are a handful of tiles, so there is nothing
-    /// to fork over inside a head).
-    HeadResult run_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
-                             int head, const Matrix<std::int8_t>& kq,
-                             const Matrix<std::int8_t>& vq, float scale,
-                             Fidelity fidelity, const RunControl* ctl) const;
+    /// One head of one decode step on the integer datapath, its output row
+    /// written into `out` (1 x d). A sequential tile loop (micro-plans are a
+    /// handful of tiles, so there is nothing to fork over inside a head) on
+    /// buffers the calling thread keeps across heads and steps.
+    SimStats run_step_head(const CompiledPlan& micro, const Matrix<float>& q_row, int head,
+                           const Matrix<std::int8_t>& kq, const Matrix<std::int8_t>& vq,
+                           float scale, Fidelity fidelity, const RunControl* ctl,
+                           Matrix<float>& out) const;
 
     /// One head of one decode step at golden fidelity (float oracle).
-    HeadResult golden_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
-                                int head, const Matrix<float>& k, const Matrix<float>& v,
-                                float scale, const RunControl* ctl) const;
+    SimStats golden_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
+                              int head, const Matrix<float>& k, const Matrix<float>& v,
+                              float scale, const RunControl* ctl, Matrix<float>& out) const;
 
     /// Shared shell of both run_step overloads: shape checks, hooks, and
-    /// the head loop (parallel across heads when the budget allows);
-    /// head_fn(h, ctl) computes head h.
+    /// the head loop (parallel across heads when step_threads allows, the
+    /// work counted as heads x rows x head_dim x `work_per_value`);
+    /// head_fn(h, ctl, out) computes head h into `out` and returns its
+    /// stats.
     template <typename T, typename HeadFn>
     StepResult run_step_heads(const CompiledPlan& micro, const Matrix<float>& q_row,
                               const Tensor3<T>& k, const Tensor3<T>& v,
-                              const RunOptions& options, HeadFn&& head_fn) const;
+                              const RunOptions& options, int work_per_value,
+                              HeadFn&& head_fn) const;
 
     /// The persistent worker pool (built on first use, sized num_threads).
     ThreadPool& pool() const;

@@ -6,6 +6,28 @@
 
 namespace salo {
 
+namespace {
+
+/// Bytes of warm-up micro-plans (positions below T0) one step family keeps;
+/// the P templates are kept on top. A micro-plan costs about
+/// span/cols + 2 tiles of ~rows x cols x 1.4 bytes, so the warm-up grows
+/// with span^2: 1.9 MB for a span-256 stream (all of it kept), 24 MB at
+/// span 1024 and 355 MB at span 4096 (only the first positions kept; the
+/// rest derive transiently for every stream).
+constexpr std::size_t kStepWarmUpBytes = std::size_t{4} << 20;
+
+/// Approximate heap bytes of a plan's schedule (the tiles dominate).
+std::size_t schedule_bytes(const CompiledPlan& plan) {
+    std::size_t bytes = sizeof(CompiledPlan) + sizeof(SchedulePlan);
+    for (const TileTask& t : plan.plan().tiles)
+        bytes += sizeof(TileTask) + t.query_ids.size() * sizeof(std::int32_t) +
+                 t.segments.size() * sizeof(TileSegment) + t.valid.size() +
+                 t.global_fresh.size() + t.global_col_rows.size();
+    return bytes;
+}
+
+}  // namespace
+
 PlanCache::PlanCache(std::size_t capacity, PlanCompileFn compile_fn)
     : capacity_(capacity == 0 ? 1 : capacity), compile_fn_(std::move(compile_fn)) {
     if (!compile_fn_) {
@@ -22,10 +44,7 @@ void PlanCache::attach_shared_store(std::shared_ptr<PlanCache> store) {
 }
 
 bool PlanCache::matches(const CompiledPlan& cached, const HybridPattern& pattern,
-                        int head_dim, const SaloConfig& config,
-                        std::optional<int> step_position) const {
-    if (cached.is_step() != step_position.has_value()) return false;
-    if (step_position && cached.step().position != *step_position) return false;
+                        int head_dim, const SaloConfig& config) const {
     return cached.head_dim() == head_dim && cached.geometry() == config.geometry &&
            cached.options() == config.schedule_options && cached.pattern() == pattern;
 }
@@ -95,26 +114,28 @@ CompiledPlanPtr PlanCache::get_or_derive_step(const HybridPattern& pattern, int 
                                               const SaloConfig& config) {
     const StepPeriod sp = step_period(pattern, config.geometry);
     const int t = pattern.n() - 1;
-    if (sp.period == 0 || t < sp.start) return derive_step(pattern, head_dim, config);
-
-    // Steady state: positions T0 + r + kP share one template per residue r.
-    const int residue = (t - sp.start) % sp.period;
-    const std::uint64_t family = step_family_key(pattern, head_dim, config);
-    if (t < sp.start + sp.period) {
-        // The first period derives normally and leaves its plans behind as
-        // the family's templates.
-        CompiledPlanPtr plan = derive_step(pattern, head_dim, config);
-        store_template(family, sp, residue, plan, head_dim, config);
-        return plan;
+    if (t < sp.start + sp.period) return warm_step(pattern, head_dim, config, sp);
+    if (sp.period == 0) {
+        std::unique_lock<std::mutex> lock(m_);
+        const std::shared_ptr<PlanCache> shared = shared_;
+        lock.unlock();
+        return resolve_step(shared, pattern, head_dim, config);
     }
-    CompiledPlanPtr tmpl = find_template(family, residue, pattern, head_dim, config);
+
+    // Steady state: positions T0 + r + kP share the template of residue r.
+    const int residue = (t - sp.start) % sp.period;
+    CompiledPlanPtr tmpl;
+    {
+        std::lock_guard<std::mutex> lock(m_);
+        tmpl = find_step_locked(step_family_key(pattern, head_dim, config),
+                                sp.start + residue, pattern, head_dim, config);
+    }
     if (tmpl == nullptr) {
-        // Stepped in past the first period (or the family was evicted):
-        // derive the residue's template position lazily.
+        // Stepped in past the warm-up (or the family was evicted): derive
+        // the residue's template position on demand.
         const HybridPattern at(sp.start + residue + 1, pattern.bands(),
                                pattern.global_tokens());
-        tmpl = derive_step(at, head_dim, config);
-        store_template(family, sp, residue, tmpl, head_dim, config);
+        tmpl = warm_step(at, head_dim, config, sp);
     }
     {
         std::lock_guard<std::mutex> lock(m_);
@@ -151,61 +172,31 @@ bool PlanCache::same_family(const CompiledPlan& member, const HybridPattern& pat
            member.pattern().global_tokens() == pattern.global_tokens();
 }
 
-CompiledPlanPtr PlanCache::find_template(std::uint64_t family, int residue,
-                                         const HybridPattern& pattern, int head_dim,
-                                         const SaloConfig& config) {
-    std::lock_guard<std::mutex> lock(m_);
+CompiledPlanPtr PlanCache::find_step_locked(std::uint64_t family, int index,
+                                            const HybridPattern& pattern, int head_dim,
+                                            const SaloConfig& config) {
     const auto it = family_by_key_.find(family);
     if (it == family_by_key_.end()) return nullptr;
-    const CompiledPlanPtr& tmpl = it->second->templates[static_cast<std::size_t>(residue)];
-    // A family-key collision never matches: the template carries its
-    // family's bands and globals.
-    if (tmpl == nullptr || !same_family(*tmpl, pattern, head_dim, config)) return nullptr;
+    const CompiledPlanPtr& plan = it->second->plans[static_cast<std::size_t>(index)];
+    // A family-key collision never matches: the plan carries its family's
+    // bands and globals.
+    if (plan == nullptr || !same_family(*plan, pattern, head_dim, config)) return nullptr;
     ++hits_;
     families_.splice(families_.begin(), families_, it->second);  // move to MRU
-    return tmpl;
+    return plan;
 }
 
-void PlanCache::store_template(std::uint64_t family, const StepPeriod& sp, int residue,
-                               CompiledPlanPtr plan, int head_dim, const SaloConfig& config) {
-    std::lock_guard<std::mutex> lock(m_);
-    auto it = family_by_key_.find(family);
-    if (it != family_by_key_.end() &&
-        !same_family(*it->second->exemplar, plan->pattern(), head_dim, config)) {
-        // A colliding shape under the same key replaces the family rather
-        // than mixing templates of two shapes.
-        families_.erase(it->second);
-        family_by_key_.erase(it);
-        it = family_by_key_.end();
-    }
-    if (it == family_by_key_.end()) {
-        families_.push_front(StepFamily{
-            family, plan, std::vector<CompiledPlanPtr>(static_cast<std::size_t>(sp.period))});
-        it = family_by_key_.emplace(family, families_.begin()).first;
-        while (families_.size() > capacity_) {
-            family_by_key_.erase(families_.back().key);
-            families_.pop_back();
-        }
-    }
-    it->second->templates[static_cast<std::size_t>(residue)] = std::move(plan);
-}
-
-CompiledPlanPtr PlanCache::derive_step(const HybridPattern& pattern, int head_dim,
-                                       const SaloConfig& config) {
-    SALO_EXPECTS(decode_compatible(pattern));
-    const int position = pattern.n() - 1;
-    const std::uint64_t full_key =
-        plan_fingerprint(pattern, head_dim, config.geometry, config.schedule_options);
-    const std::uint64_t key = step_plan_fingerprint(full_key, position);
+CompiledPlanPtr PlanCache::warm_step(const HybridPattern& pattern, int head_dim,
+                                     const SaloConfig& config, const StepPeriod& sp) {
+    const int t = pattern.n() - 1;
+    const std::uint64_t family = step_family_key(pattern, head_dim, config);
+    // In-flight key of this position; the type tag keeps it apart from the
+    // full-plan keys get_or_compile registers.
+    const std::uint64_t key = step_plan_fingerprint(family, t);
     std::unique_lock<std::mutex> lock(m_);
     for (;;) {
-        const auto it = by_key_.find(key);
-        if (it != by_key_.end() &&
-            matches(**it->second, pattern, head_dim, config, position)) {
-            ++hits_;
-            lru_.splice(lru_.begin(), lru_, it->second);  // move to MRU
-            return *it->second;
-        }
+        if (CompiledPlanPtr hit = find_step_locked(family, t, pattern, head_dim, config))
+            return hit;
         if (inflight_.count(key) == 0) break;  // become the deriving leader
         cv_compiled_.wait(lock);
     }
@@ -215,19 +206,9 @@ CompiledPlanPtr PlanCache::derive_step(const HybridPattern& pattern, int head_di
     const std::shared_ptr<PlanCache> shared = shared_;
     lock.unlock();
 
-    // Resolve outside the lock. The full plan goes through get_or_compile —
-    // self-recursion on a different key while unlocked — so all steps of
-    // one shape amortize a single scheduler pass, and the full plan stays
-    // cached for whole-sequence traffic. With a shared store, the store
-    // both compiles and derives tier-wide-once.
     CompiledPlanPtr fresh;
     try {
-        if (shared) {
-            fresh = shared->get_or_derive_step(pattern, head_dim, config);
-        } else {
-            const CompiledPlanPtr full = get_or_compile(pattern, head_dim, config);
-            fresh = derive_micro_plan_shared(*full);
-        }
+        fresh = resolve_step(shared, pattern, head_dim, config);
     } catch (...) {
         lock.lock();
         inflight_.erase(key);
@@ -236,19 +217,56 @@ CompiledPlanPtr PlanCache::derive_step(const HybridPattern& pattern, int head_di
     }
 
     lock.lock();
+    inflight_.erase(key);
+    auto it = family_by_key_.find(family);
+    if (it != family_by_key_.end() &&
+        !same_family(*it->second->exemplar, pattern, head_dim, config)) {
+        // A colliding shape under the same key replaces the family rather
+        // than mixing plans of two shapes.
+        families_.erase(it->second);
+        family_by_key_.erase(it);
+        it = family_by_key_.end();
+    }
+    if (it == family_by_key_.end()) {
+        families_.push_front(StepFamily{
+            family, fresh,
+            std::vector<CompiledPlanPtr>(static_cast<std::size_t>(sp.start + sp.period))});
+        it = family_by_key_.emplace(family, families_.begin()).first;
+        while (families_.size() > capacity_) {
+            family_by_key_.erase(families_.back().key);
+            families_.pop_back();
+        }
+    }
+    StepFamily& fam = *it->second;
+    CompiledPlanPtr& slot = fam.plans[static_cast<std::size_t>(t)];
+    if (t >= sp.start) {
+        slot = fresh;  // a template: always kept, later positions relabel it
+    } else if (slot == nullptr) {
+        const std::size_t bytes = schedule_bytes(*fresh);
+        if (fam.warm_up_bytes + bytes <= kStepWarmUpBytes) {
+            slot = fresh;
+            fam.warm_up_bytes += bytes;
+        }
+    }
+    cv_compiled_.notify_all();
+    return fresh;
+}
+
+CompiledPlanPtr PlanCache::resolve_step(const std::shared_ptr<PlanCache>& shared,
+                                        const HybridPattern& pattern, int head_dim,
+                                        const SaloConfig& config) {
+    // Outside the lock. The prefix plan is scheduled only to be derived
+    // from: whole-sequence traffic never asks for a decode prefix, so
+    // caching it would only evict plans that traffic does use.
+    CompiledPlanPtr fresh = shared ? shared->get_or_derive_step(pattern, head_dim, config)
+                                   : derive_micro_plan_shared(
+                                         *compile_fn_(pattern, head_dim, config));
+    std::lock_guard<std::mutex> lock(m_);
     if (shared) {
         ++shared_resolved_;
     } else {
         ++step_derives_;
     }
-    inflight_.erase(key);
-    const auto it = by_key_.find(key);
-    if (it != by_key_.end()) {
-        lru_.erase(it->second);
-        by_key_.erase(it);
-    }
-    insert_locked(fresh);
-    cv_compiled_.notify_all();
     return fresh;
 }
 

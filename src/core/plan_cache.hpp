@@ -22,10 +22,24 @@
 // by *this* cache — with a shared store attached, a shard cache's compiles
 // stays 0 and the shared store's compiles is the tier-wide pass count.
 //
-// Decode steps: get_or_derive_step serves per-position micro-plans. Past a
-// stream shape's steady-state start it relabels per-residue templates
-// instead of caching one entry per position (see its comment); the
-// template table holds at most `capacity` shapes.
+// Decode steps: get_or_derive_step serves per-position micro-plans from a
+// separate table of step *families* (one per stream shape), never from the
+// LRU: a decode stream inserts nothing there, so it cannot evict the
+// whole-sequence plans of other traffic. A family keeps the micro-plans of
+// its warm-up positions 0 .. T0+P-1 (the last P double as the per-residue
+// templates every later position is relabelled from), so every stream of
+// one shape after the first runs no scheduler pass at all. At most
+// `capacity` families are kept, least recently used evicted first.
+//
+// Worst-case family bytes: a micro-plan holds about span/cols + 2 tiles of
+// ~rows x cols x 1.4 bytes, so a whole warm-up grows with span^2. The
+// positions below T0 are kept only up to 4 MiB per family (the rest derive
+// transiently for every stream); the P templates are always kept. Measured
+// on a 32 x 32 array with a causal band + global 0: span 256 keeps all 288
+// plans, 1.9 MB, about one 12 x 64 stream's K/V ring (1.9 MB of float and
+// int8 rows); span 1024 keeps 5.3 MB of its 24 MB warm-up and span 4096
+// 9.4 MB of 355 MB (4 MiB below T0 plus 32 templates of 88 KB each). So
+// the family table holds at most capacity x (4 MiB + P x plan bytes).
 //
 // Collisions: the fingerprint hashes the full scheduling input, but a
 // 64-bit hash can in principle collide. Every hit re-checks structural
@@ -40,7 +54,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -52,9 +65,10 @@ namespace salo {
 struct PlanCacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;      ///< includes fingerprint collisions
-    std::uint64_t compiles = 0;    ///< scheduler passes run by THIS cache
-    /// Decode micro-plan derivations run by THIS cache (get_or_derive_step
-    /// misses resolved locally; like compiles, 0 with a shared store).
+    std::uint64_t compiles = 0;    ///< whole-sequence scheduler passes run by THIS cache
+    /// Decode micro-plan derivations run by THIS cache, each one transient
+    /// prefix compile (get_or_derive_step misses resolved locally; like
+    /// compiles, 0 with a shared store).
     std::uint64_t step_derives = 0;
     /// Steady-state decode micro-plans built by relabelling a template
     /// (get_or_derive_step at t >= T0 + P; no scheduler pass, no entry).
@@ -62,7 +76,7 @@ struct PlanCacheStats {
     /// Of misses: resolved by the attached shared store (no local compile).
     std::uint64_t shared_resolved = 0;
     std::uint64_t evictions = 0;   ///< LRU capacity evictions
-    std::size_t size = 0;
+    std::size_t size = 0;          ///< LRU entries (decode families not included)
     std::size_t capacity = 0;
 
     double hit_rate() const {
@@ -86,19 +100,19 @@ public:
                                    const SaloConfig& config);
 
     /// The decode micro-plan for the last row of `pattern` (a prefix
-    /// pattern of length L; the step position is t = L-1). Never returns
-    /// null.
+    /// pattern of length L; the step position is t = L-1), with fingerprint
+    /// step_plan_fingerprint(full key, t). Never returns null.
     ///
-    /// Before steady state (t < T0 + P, see step_period) a miss resolves
-    /// the full plan through get_or_compile (so full and micro plans share
-    /// this cache and the tier-wide dedup) and derives the micro-plan from
-    /// it, under step_plan_fingerprint(full key, position) — a distinct
-    /// type tag, so micro-plans never alias full plans in one cache. The
-    /// plans of positions T0 .. T0+P-1 are also kept as the stream shape's
-    /// templates, one per residue. From T0 + P on, the plan is the
-    /// template of residue (t - T0) mod P relabelled to t
-    /// (relabel_micro_plan): no scheduler pass, no LRU entry. A missing
-    /// template is derived lazily at its own position.
+    /// Warm-up positions t < T0 + P (see step_period) are looked up in the
+    /// stream shape's family; a miss compiles the prefix transiently (it is
+    /// not cached) and derives the micro-plan, one scheduler pass counted
+    /// in step_derives, then keeps it in the family (below T0 only within
+    /// the family's byte bound). From T0 + P on, the plan is
+    /// the template of residue (t - T0) mod P relabelled to t
+    /// (relabel_micro_plan): no scheduler pass. Shapes without a period
+    /// (step_period().period == 0) derive every position >= T0 transiently.
+    /// With a shared store attached, misses resolve through the store's
+    /// families, so one shape runs its warm-up passes once per tier.
     CompiledPlanPtr get_or_derive_step(const HybridPattern& pattern, int head_dim,
                                        const SaloConfig& config);
 
@@ -118,24 +132,20 @@ private:
     /// Most-recently-used at the front.
     using LruList = std::list<CompiledPlanPtr>;
 
-    /// `step_position` set: the lookup wants a micro-plan for that query
-    /// position; unset: it wants a full plan. A cached entry of the other
-    /// kind never matches, even on a fingerprint collision.
     bool matches(const CompiledPlan& cached, const HybridPattern& pattern, int head_dim,
-                 const SaloConfig& config,
-                 std::optional<int> step_position = std::nullopt) const;
+                 const SaloConfig& config) const;
     void insert_locked(CompiledPlanPtr plan);
 
-    /// get_or_derive_step without templates: LRU lookup, else derive.
-    CompiledPlanPtr derive_step(const HybridPattern& pattern, int head_dim,
-                                const SaloConfig& config);
-
-    /// The steady-state templates of one decode stream shape (bands,
-    /// globals, head_dim, geometry, options — everything but the length).
+    /// The decode micro-plans of one stream shape (bands, globals, head_dim,
+    /// geometry, options — everything but the length).
     struct StepFamily {
         std::uint64_t key = 0;
-        CompiledPlanPtr exemplar;  ///< first template stored; collision check
-        std::vector<CompiledPlanPtr> templates;  ///< [P], null until derived
+        CompiledPlanPtr exemplar;  ///< first plan stored; collision check
+        /// [T0 + P]: the plan of warm-up position t at index t, null until
+        /// derived (or past the byte bound); indices T0 .. T0+P-1 are the
+        /// per-residue templates.
+        std::vector<CompiledPlanPtr> plans;
+        std::size_t warm_up_bytes = 0;  ///< kept plans below T0
     };
     using FamilyList = std::list<StepFamily>;
 
@@ -143,12 +153,21 @@ private:
                                          const SaloConfig& config);
     static bool same_family(const CompiledPlan& member, const HybridPattern& pattern,
                             int head_dim, const SaloConfig& config);
-    /// The template for `residue`, or null; a hit counts in hits.
-    CompiledPlanPtr find_template(std::uint64_t family, int residue,
-                                  const HybridPattern& pattern, int head_dim,
-                                  const SaloConfig& config);
-    void store_template(std::uint64_t family, const StepPeriod& sp, int residue,
-                        CompiledPlanPtr plan, int head_dim, const SaloConfig& config);
+    /// The family's plan of warm-up position `index`, or null; a hit counts
+    /// in hits and moves the family to the front. Caller holds m_.
+    CompiledPlanPtr find_step_locked(std::uint64_t family, int index,
+                                     const HybridPattern& pattern, int head_dim,
+                                     const SaloConfig& config);
+    /// The warm-up plan for the last row of `pattern` (t < sp.start +
+    /// sp.period): family hit, else derived once (concurrent misses on one
+    /// position dedup like get_or_compile) and stored in the family.
+    CompiledPlanPtr warm_step(const HybridPattern& pattern, int head_dim,
+                              const SaloConfig& config, const StepPeriod& sp);
+    /// A micro-plan from the shared store, or compiled transiently and
+    /// derived here; counts shared_resolved / step_derives.
+    CompiledPlanPtr resolve_step(const std::shared_ptr<PlanCache>& shared,
+                                 const HybridPattern& pattern, int head_dim,
+                                 const SaloConfig& config);
 
     mutable std::mutex m_;
     std::condition_variable cv_compiled_;  ///< an in-flight compile finished

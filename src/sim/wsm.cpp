@@ -20,12 +20,19 @@ std::uint32_t normalize_weight(SumRaw w, InvRaw inv) {
 }
 }  // namespace
 
-WeightedSumModule::WeightedSumModule(int n, int d, const Reciprocal& recip_unit)
-    : recip_unit_(&recip_unit), n_(n), d_(d),
-      weight_(static_cast<std::size_t>(n), 0),
-      out_q_(static_cast<std::size_t>(n) * static_cast<std::size_t>(d), 0),
-      initialized_(static_cast<std::size_t>(n), 0) {
+WeightedSumModule::WeightedSumModule(int n, int d, const Reciprocal& recip_unit) {
+    reset(n, d, recip_unit);
+}
+
+void WeightedSumModule::reset(int n, int d, const Reciprocal& recip_unit) {
     SALO_EXPECTS(n >= 1 && d >= 1);
+    recip_unit_ = &recip_unit;
+    n_ = n;
+    d_ = d;
+    weight_.assign(static_cast<std::size_t>(n), 0);
+    out_q_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(d), 0);
+    initialized_.assign(static_cast<std::size_t>(n), 0);
+    merges_.store(0, std::memory_order_relaxed);
 }
 
 bool WeightedSumModule::merge_shard(const TilePart& part, int q_lo, int q_hi) {
@@ -58,24 +65,33 @@ void WeightedSumModule::merge(const TilePart& part) {
     weight_[qi] = w_total;
 }
 
+std::int16_t WeightedSumModule::output_raw(int i, int t) const {
+    constexpr int shift = Datapath::wsm_frac - Datapath::out_frac;  // 8
+    if (!initialized_[static_cast<std::size_t>(i)]) return 0;
+    const std::int32_t q =
+        out_q_[static_cast<std::size_t>(i) * static_cast<std::size_t>(d_) +
+               static_cast<std::size_t>(t)];
+    return static_cast<std::int16_t>(OutputFx::from_raw(round_shift(q, shift)).raw());
+}
+
 Matrix<std::int16_t> WeightedSumModule::finalize_raw() const {
     Matrix<std::int16_t> out(n_, d_, 0);
-    constexpr int shift = Datapath::wsm_frac - Datapath::out_frac;  // 8
-    for (int i = 0; i < n_; ++i) {
-        if (!initialized_[static_cast<std::size_t>(i)]) continue;
-        const std::int32_t* src =
-            &out_q_[static_cast<std::size_t>(i) * static_cast<std::size_t>(d_)];
-        for (int t = 0; t < d_; ++t)
-            out(i, t) = static_cast<std::int16_t>(
-                OutputFx::from_raw(round_shift(src[t], shift)).raw());
-    }
+    for (int i = 0; i < n_; ++i)
+        for (int t = 0; t < d_; ++t) out(i, t) = output_raw(i, t);
     return out;
 }
 
 Matrix<float> WeightedSumModule::finalize() const {
-    const Matrix<std::int16_t> raw = finalize_raw();
-    return raw.map<float>(
-        [](std::int16_t r) { return OutputFx::from_raw(r).to_float(); });
+    Matrix<float> out(n_, d_, 0.0f);
+    finalize_into(out);
+    return out;
+}
+
+void WeightedSumModule::finalize_into(Matrix<float>& out) const {
+    SALO_EXPECTS(out.rows() == n_ && out.cols() == d_);
+    for (int i = 0; i < n_; ++i)
+        for (int t = 0; t < d_; ++t)
+            out(i, t) = OutputFx::from_raw(output_raw(i, t)).to_float();
 }
 
 }  // namespace salo

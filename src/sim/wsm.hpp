@@ -28,6 +28,10 @@ public:
     /// n queries, head dimension d.
     WeightedSumModule(int n, int d, const Reciprocal& recip_unit);
 
+    /// Start over as a fresh WeightedSumModule(n, d, recip_unit), keeping
+    /// the buffers' capacity (per-thread reuse across decode steps).
+    void reset(int n, int d, const Reciprocal& recip_unit);
+
     /// Merge one part into the running output of part.query (Eq. 2).
     ///
     /// All merge state is per-query, so concurrent merges are safe whenever
@@ -53,10 +57,16 @@ public:
     /// Final outputs dequantized to float.
     Matrix<float> finalize() const;
 
+    /// finalize() into an existing n x d matrix.
+    void finalize_into(Matrix<float>& out) const;
+
 private:
-    const Reciprocal* recip_unit_;
-    int n_;
-    int d_;
+    /// Query i's output element t as raw 16-bit Q7.8 (0 if never merged).
+    std::int16_t output_raw(int i, int t) const;
+
+    const Reciprocal* recip_unit_ = nullptr;
+    int n_ = 0;
+    int d_ = 0;
     std::vector<SumRaw> weight_;                ///< running W per query
     std::vector<std::int32_t> out_q_;           ///< running outputs, Q.wsm_frac
     std::vector<std::uint8_t> initialized_;

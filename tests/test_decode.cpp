@@ -197,18 +197,18 @@ TEST(MicroPlanFingerprint, FullAndMicroCoexistInOneCache) {
     EXPECT_NE(full->fingerprint(), micro->fingerprint());
     EXPECT_EQ(micro->fingerprint(), step_plan_fingerprint(full->fingerprint(), 23));
 
-    // Both entries live under their own keys; repeat lookups are hits and
-    // return the same shared artifacts.
+    // Repeat lookups are hits and return the same shared artifacts. The
+    // full plan lives in the LRU; the micro-plan lives in its step family
+    // and never takes an LRU slot.
     EXPECT_EQ(cache.get_or_compile(pattern, 16, config).get(), full.get());
     EXPECT_EQ(cache.get_or_derive_step(pattern, 16, config).get(), micro.get());
+    EXPECT_EQ(cache.peek(full->fingerprint()), full);
+    EXPECT_EQ(cache.peek(micro->fingerprint()), nullptr);
     const PlanCacheStats s = cache.stats();
-    EXPECT_EQ(s.size, 2u);
-    EXPECT_EQ(s.compiles, 1u);
-    EXPECT_EQ(s.step_derives, 1u);
-    EXPECT_EQ(s.hits, 3u);  // repeat full + repeat step + derive's full hit... no:
-    // get_or_derive_step's miss resolves the full plan via get_or_compile,
-    // which hits the already-cached full entry — 1 hit there, plus the two
-    // repeat lookups above.
+    EXPECT_EQ(s.size, 1u);
+    EXPECT_EQ(s.compiles, 1u);      // the whole-sequence plan
+    EXPECT_EQ(s.step_derives, 1u);  // its own transient prefix compile
+    EXPECT_EQ(s.hits, 2u);          // the two repeat lookups
 }
 
 TEST(MicroPlanFingerprint, StepDerivationSharedStoreTierWide) {
@@ -396,7 +396,9 @@ TEST(StepRelabel, SeededRandomFamiliesMatchFullDerivation) {
                                    derive_micro_plan(compile(prefix, 16, config)));
             if (testing::Test::HasFailure()) return;
         }
-        EXPECT_LE(cache.stats().compiles, static_cast<std::uint64_t>(sp.start + sp.period));
+        const PlanCacheStats st = cache.stats();
+        EXPECT_LE(st.compiles + st.step_derives,
+                  static_cast<std::uint64_t>(sp.start + sp.period));
     }
 }
 
@@ -411,7 +413,8 @@ TEST(StepRelabel, LongStreamRunsAtMostT0PlusPSchedulerPasses) {
         for (int t = 0; t < horizon; ++t)
             (void)engine.compile_step(prefix_pattern(t + 1, fam.bands, fam.globals), 64);
         const PlanCacheStats st = engine.plan_cache_stats();
-        EXPECT_LE(st.compiles, static_cast<std::uint64_t>(sp.start + sp.period));
+        EXPECT_LE(st.compiles + st.step_derives,
+                  static_cast<std::uint64_t>(sp.start + sp.period));
         EXPECT_EQ(st.step_relabels,
                   static_cast<std::uint64_t>(horizon - (sp.start + sp.period)));
     }
@@ -428,13 +431,14 @@ TEST(StepRelabel, JumpingPastTheFirstPeriodDerivesTemplatesLazily) {
     const StepPeriod sp = step_period(at, config.geometry);
     const CompiledPlanPtr first = cache.get_or_derive_step(at, 16, config);
     expect_same_micro_plan(*first, derive_micro_plan(compile(at, 16, config)));
-    EXPECT_EQ(cache.stats().compiles, 1u);  // the template position only
+    EXPECT_EQ(cache.stats().step_derives, 1u);  // the template position only
     // Same residue one period later: a template hit, no scheduler pass.
     const HybridPattern later(500 + sp.period, bands, globals);
     expect_same_micro_plan(*cache.get_or_derive_step(later, 16, config),
                            derive_micro_plan(compile(later, 16, config)));
     const PlanCacheStats st = cache.stats();
-    EXPECT_EQ(st.compiles, 1u);
+    EXPECT_EQ(st.compiles, 0u);
+    EXPECT_EQ(st.step_derives, 1u);
     EXPECT_EQ(st.step_relabels, 2u);
 }
 
@@ -448,6 +452,60 @@ TEST(StepRelabel, RelabelRejectsAnotherResidueOrShape) {
                  ContractViolation);
     EXPECT_THROW((void)relabel_micro_plan(tmpl, HybridPattern(72, bands, {1})),
                  ContractViolation);
+}
+
+// -------------------------------------------------------------------------
+// Step families: warm-up plans kept per shape, never in the LRU
+// -------------------------------------------------------------------------
+
+TEST(StepFamily, DecodeStreamLeavesWholeSequencePlansCached) {
+    // A stream past T0 + 2P derives T0 + P warm-up plans; none of them may
+    // take an LRU slot, so an encode shape compiled before it survives.
+    const SaloConfig config;
+    const std::vector<Band> bands{Band{-63, 64, 1, 0}};
+    const std::vector<int> globals{0};
+    SaloEngine engine(config);  // default capacity: 64 plans
+    PlanCache cache(static_cast<std::size_t>(config.plan_cache_capacity));
+    const HybridPattern encode(512, bands, globals);
+    const CompiledPlanPtr plan = cache.get_or_compile(encode, 64, config);
+    const CompiledPlanPtr engine_plan = engine.compile(encode, 64);
+    const StepPeriod sp = step_period(encode, config.geometry);
+    const int steps = sp.start + 2 * sp.period + 5;
+    ASSERT_GT(2 * (sp.start + sp.period), config.plan_cache_capacity);
+    for (int t = 0; t < steps; ++t) {
+        (void)cache.get_or_derive_step(prefix_pattern(t + 1, bands, globals), 64, config);
+        (void)engine.compile_step(prefix_pattern(t + 1, bands, globals), 64);
+    }
+    EXPECT_EQ(cache.peek(plan->fingerprint()), plan);
+    EXPECT_EQ(cache.stats().size, 1u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    EXPECT_EQ(cache.get_or_compile(encode, 64, config), plan);
+    EXPECT_EQ(cache.stats().compiles, 1u);
+    EXPECT_EQ(engine.compile(encode, 64), engine_plan);
+    EXPECT_EQ(engine.plan_cache_stats().compiles, 1u);
+}
+
+TEST(StepFamily, CapacityPlusOneFamiliesEvictTheOldestWarmUp) {
+    const SaloConfig config;
+    PlanCache cache(2);
+    const std::vector<std::vector<Band>> shapes = {
+        {Band{-7, 8, 1, 0}}, {Band{-5, 6, 1, 0}}, {Band{-3, 4, 1, 0}}};
+    const auto warm = [&](const std::vector<Band>& bands) {
+        for (int t = 0; t < 4; ++t) (void)cache.get_or_derive_step(
+            HybridPattern(t + 1, bands), 16, config);
+    };
+    warm(shapes[0]);
+    warm(shapes[1]);
+    EXPECT_EQ(cache.stats().step_derives, 8u);
+    warm(shapes[0]);  // both families kept: all hits
+    EXPECT_EQ(cache.stats().step_derives, 8u);
+    warm(shapes[2]);  // a third family evicts the least recently used one
+    EXPECT_EQ(cache.stats().step_derives, 12u);
+    warm(shapes[0]);  // still kept
+    EXPECT_EQ(cache.stats().step_derives, 12u);
+    warm(shapes[1]);  // its warm-up plans were dropped: derived again
+    EXPECT_EQ(cache.stats().step_derives, 16u);
+    EXPECT_EQ(cache.stats().size, 0u);  // none of it in the LRU
 }
 
 // -------------------------------------------------------------------------
@@ -539,12 +597,65 @@ TEST(RunStep, ParallelHeadsMatchSequential) {
         auto [kc, vc] = state.assemble();
         RunOptions seq, par;
         seq.thread_budget = 1;
-        par.thread_budget = 0;  // engine's configured pool
+        par.thread_budget = 4;  // an explicit budget > 1 fans heads out
         const StepResult a = engine.run_step(*micro, q_row, kc, vc, 0.25f, seq);
         const StepResult b = engine.run_step(*micro, q_row, kc, vc, 0.25f, par);
         for (int h = 0; h < heads; ++h)
             for (int x = 0; x < d; ++x) ASSERT_EQ(a.output[h](0, x), b.output[h](0, x));
     }
+}
+
+void expect_sim_stats_equal(const SimStats& a, const SimStats& b) {
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.tiles, b.tiles);
+    for (int s = 0; s < 5; ++s) EXPECT_EQ(a.stage_totals.stage[s], b.stage_totals.stage[s]);
+    EXPECT_EQ(a.activity.mac_ops, b.activity.mac_ops);
+    EXPECT_EQ(a.activity.exp_ops, b.activity.exp_ops);
+    EXPECT_EQ(a.activity.valid_slots, b.activity.valid_slots);
+    EXPECT_EQ(a.activity.array_slots, b.activity.array_slots);
+    EXPECT_EQ(a.activity.pe_cycles, b.activity.pe_cycles);
+}
+
+TEST(StepThreads, AutomaticBudgetFansOutOnlyAboveTheCrossover) {
+    EXPECT_EQ(step_threads(0, 4, kStepFanOutWork - 1), 1);
+    EXPECT_EQ(step_threads(0, 4, kStepFanOutWork), 1);
+    EXPECT_EQ(step_threads(0, 4, kStepFanOutWork + 1), 4);
+    EXPECT_EQ(step_threads(-3, 4, kStepFanOutWork + 1), 4);
+    // Explicit budgets are honoured whatever the work.
+    EXPECT_EQ(step_threads(4, 8, 1), 4);
+    EXPECT_EQ(step_threads(1, 4, 100 * kStepFanOutWork), 1);
+    // The Longformer decode step (12 heads x 64, span 256 + 1 pinned
+    // global) runs inline.
+    EXPECT_EQ(step_threads(0, 4, std::int64_t{12} * (256 + 1) * 64), 1);
+}
+
+TEST(RunStep, StepAboveCrossoverMatchesOneThreadRun) {
+    // A window wide enough that the automatic budget fans the heads out
+    // over a 4-lane pool: bit-identical to the 1-thread run.
+    SaloConfig config;
+    config.num_threads = 4;
+    const SaloEngine engine(config);
+    const int heads = 4, d = 64;
+    const int span = static_cast<int>(kStepFanOutWork / (heads * d)) + 8;
+    const std::vector<Band> bands{Band{-(span - 1), span, 1, 0}};
+    const std::vector<int> globals{0, 3};
+    const int t = span + 40;  // ring full, both globals evicted
+    Rng rng(131u);
+    DecodeState state(heads, d, span, globals);
+    for (int p = 0; p <= t; ++p)
+        state.append(random_matrix(heads, d, rng), random_matrix(heads, d, rng));
+    const Matrix<float> q_row = random_matrix(heads, d, rng);
+    const CompiledPlanPtr micro = engine.compile_step(prefix_pattern(t + 1, bands, globals), d);
+    const auto [kq, vq] = state.assemble_quantized();
+    ASSERT_GT(std::int64_t{heads} * kq.rows() * d, kStepFanOutWork);
+
+    RunOptions one, automatic;
+    one.thread_budget = 1;
+    const StepResult a = engine.run_step(*micro, q_row, kq, vq, 0.125f, one);
+    const StepResult b = engine.run_step(*micro, q_row, kq, vq, 0.125f, automatic);
+    for (int h = 0; h < heads; ++h)
+        for (int x = 0; x < d; ++x) ASSERT_EQ(a.output[h](0, x), b.output[h](0, x));
+    expect_sim_stats_equal(a.stats, b.stats);
 }
 
 // -------------------------------------------------------------------------
@@ -607,17 +718,6 @@ TEST(DecodeSession, StepwiseBitIdentityVsFullEncode) {
     EXPECT_EQ(st.completed, st.submitted);
     EXPECT_EQ(st.accounted(), st.submitted);
     EXPECT_EQ(st.evicted_streams, 0u);
-}
-
-void expect_sim_stats_equal(const SimStats& a, const SimStats& b) {
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.tiles, b.tiles);
-    for (int s = 0; s < 5; ++s) EXPECT_EQ(a.stage_totals.stage[s], b.stage_totals.stage[s]);
-    EXPECT_EQ(a.activity.mac_ops, b.activity.mac_ops);
-    EXPECT_EQ(a.activity.exp_ops, b.activity.exp_ops);
-    EXPECT_EQ(a.activity.valid_slots, b.activity.valid_slots);
-    EXPECT_EQ(a.activity.array_slots, b.activity.array_slots);
-    EXPECT_EQ(a.activity.pe_cycles, b.activity.pe_cycles);
 }
 
 TEST(DecodeSession, LongHorizonBitIdentityAcrossFidelitiesAndThreads) {
@@ -988,6 +1088,46 @@ TEST(DecodeSession, SharedPlanStoreDerivesEachPositionOnceTierWide) {
     const SessionStats st = session.stats();
     EXPECT_EQ(st.plan_cache.step_derives, static_cast<std::uint64_t>(steps));
     EXPECT_EQ(st.completed, static_cast<std::uint64_t>(2 * steps));
+}
+
+TEST(DecodeSession, SequentialStreamsOfOneShapeShareTheWarmUp) {
+    // Four streams of one shape, each past T0 + 2P, one after the other:
+    // the first derives the T0 + P warm-up plans, the rest run no scheduler
+    // pass — on one engine, and tier-wide with a shared store.
+    const SaloConfig config;
+    const std::vector<Band> bands = {Band{-15, 16, 1, 0}};
+    const std::vector<int> globals = {0, 3};
+    const int heads = 1, d = 8;
+    const StepPeriod sp = step_period(HybridPattern(1024, bands, globals), config.geometry);
+    const int steps = sp.start + 2 * sp.period + 3;
+    const HybridPattern pattern(steps, bands, globals);
+    Rng rng(5u);
+    const Tensor3<float> rows = random_tensor3(heads, steps, d, rng);
+
+    for (const bool shared : {false, true}) {
+        SCOPED_TRACE(shared ? "2 shards, shared store" : "1 engine");
+        DecodeSessionOptions options;
+        options.num_shards = shared ? 2 : 1;
+        options.shared_plan_store = shared;
+        DecodeSession session(config, options);
+        for (int stream = 0; stream < 4; ++stream) {
+            const StreamId id = session.open_stream(pattern, heads, d, 0.5f);
+            for (int t = 0; t < steps; ++t) {
+                StepRequest req;
+                req.q_row = head_row(rows, t, heads, d);
+                req.k_row = head_row(rows, t, heads, d);
+                req.v_row = head_row(rows, t, heads, d);
+                ASSERT_NO_THROW(session.step(id, std::move(req)).get());
+            }
+            session.close_stream(id);
+        }
+        session.close();
+        const SessionStats st = session.stats();
+        EXPECT_EQ(st.completed, static_cast<std::uint64_t>(4 * steps));
+        EXPECT_LE(st.plan_cache.compiles + st.plan_cache.step_derives,
+                  static_cast<std::uint64_t>(sp.start + sp.period));
+        EXPECT_EQ(st.plan_cache.size, 0u);  // no decode plan in any LRU
+    }
 }
 
 }  // namespace

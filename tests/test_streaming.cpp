@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "numeric/quantize.hpp"
 #include "pattern/pattern.hpp"
 
 namespace salo {
@@ -118,6 +119,31 @@ TEST(DecodeState, WindowBoundaryEvictionKeepsExactlyTheLastSpanRows) {
                 EXPECT_EQ(k_c[h](idx, x), k_all[h](j, x));
                 EXPECT_EQ(v_c[h](idx, x), v_all[h](j, x));
             }
+    }
+}
+
+TEST(DecodeState, QuantizedAssemblyReusesCallerBuffers) {
+    // Once the ring is full the compact shape is fixed: every step writes
+    // the same caller-kept buffers, whose contents equal quantizing
+    // assemble().
+    Rng rng(29);
+    const int heads = 2, d = 8, span = 5, steps = 12;
+    const auto k_all = random_tensor3(heads, steps, d, rng);
+    const auto v_all = random_tensor3(heads, steps, d, rng);
+    DecodeState state(heads, d, span, {1});
+    const std::int8_t* k_data = nullptr;
+    Tensor3<std::int8_t> kq, vq;
+    for (int p = 0; p < steps; ++p) {
+        state.append(state_row(k_all, p, heads, d), state_row(v_all, p, heads, d));
+        state.assemble_quantized(kq, vq);
+        const auto [kc, vc] = state.assemble();
+        ASSERT_EQ(kq.rows(), state.compact_rows());
+        for (int h = 0; h < heads; ++h) {
+            EXPECT_EQ(kq[h], quantize<InputFx>(kc[h]));
+            EXPECT_EQ(vq[h], quantize<InputFx>(vc[h]));
+        }
+        if (p == span) k_data = kq[0].data().data();
+        if (p > span) EXPECT_EQ(kq[0].data().data(), k_data);
     }
 }
 

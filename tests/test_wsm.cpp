@@ -134,5 +134,24 @@ TEST(WeightedSum, FinalizeRawIs16Bit) {
     EXPECT_NEAR(static_cast<double>(raw(0, 0)) / 256.0, 3.141, 1e-2);
 }
 
+TEST(WeightedSum, ResetModuleMatchesAFreshOne) {
+    // A reset module (reused per thread by decode steps) carries nothing
+    // over: same bits as a fresh module, also for a changed shape.
+    const Reciprocal recip;
+    WeightedSumModule reused(3, 2, recip);
+    reused.merge(make_part(2, 5.0, {1.5, 0.25}));
+    reused.reset(1, 3, recip);
+    WeightedSumModule fresh(1, 3, recip);
+    for (WeightedSumModule* wsm : {&reused, &fresh}) {
+        wsm->merge(make_part(0, 2.0, {0.5, -0.75, 1.0}));
+        wsm->merge(make_part(0, 1.0, {-0.25, 0.125, 2.0}));
+    }
+    EXPECT_EQ(reused.merges(), 2);
+    const Matrix<float> want = fresh.finalize();
+    Matrix<float> got(1, 3, 7.0f);
+    reused.finalize_into(got);
+    for (int t = 0; t < 3; ++t) EXPECT_EQ(got(0, t), want(0, t));
+}
+
 }  // namespace
 }  // namespace salo

@@ -5,7 +5,9 @@ Every BENCH_*.json must (a) parse as JSON and (b) carry an integer
 schema_version, so downstream tooling (and CI trend jobs) can rely on the
 files without per-bench special cases. BENCH_decode.json additionally
 must report tokens/s at all of 1/64/4096 concurrent streams with every
-level bit-identical (the decode-tier contract). Run from anywhere:
+level bit-identical (the decode-tier contract), and must name the host it
+was measured on (kernel ISA, hardware threads, CPU model). Run from
+anywhere:
 
     python3 tools/check_bench_json.py [repo_root]
 
@@ -38,9 +40,17 @@ def check(path: str) -> list:
 
 
 def check_decode(doc: dict) -> list:
-    """The decode snapshot's contract: the full 1/64/4096-stream sweep,
-    positive tokens/s at every level, and bit-identity everywhere."""
+    """The decode snapshot's contract: the host identity, the full
+    1/64/4096-stream sweep, positive tokens/s at every level, and
+    bit-identity everywhere."""
     problems = []
+    for key in ("kernel_isa", "cpu_model"):
+        value = doc.get(key)
+        if not isinstance(value, str) or not value:
+            problems.append(f"'{key}' missing or not a non-empty string: {value!r}")
+    threads = doc.get("hardware_threads")
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
+        problems.append(f"'hardware_threads' missing or not a positive integer: {threads!r}")
     levels = doc.get("levels")
     if not isinstance(levels, list):
         return ["'levels' missing or not a list"]

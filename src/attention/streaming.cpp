@@ -104,7 +104,8 @@ void DecodeState::assemble_rows(const RowStore<T>& rows, Tensor3<T>& out) const 
     const int first = lo % span_;
     const int run1 = std::min(live, span_ - first);
     const auto d = static_cast<std::size_t>(head_dim_);
-    if (out.count() != heads_ || out.rows() != np + live)
+    // Compare the whole shape: one buffer may serve states of other shapes.
+    if (out.count() != heads_ || out.rows() != np + live || out.cols() != head_dim_)
         out = Tensor3<T>(heads_, np + live, head_dim_);
     for (int h = 0; h < heads_; ++h) {
         T* dst = out[h].data().data();

@@ -96,8 +96,8 @@ public:
     /// The same layout of the rows quantized at append() (InputFx raw).
     std::pair<Tensor3<std::int8_t>, Tensor3<std::int8_t>> assemble_quantized() const;
 
-    /// assemble_quantized() into `k` and `v`, reshaped only when the
-    /// compact row count changed. A caller that keeps one pair per thread
+    /// assemble_quantized() into `k` and `v`, reshaped only when their
+    /// shape differs from [heads][compact_rows()][head_dim]. A caller that keeps one pair per thread
     /// assembles with no allocation once the ring is full, and many
     /// streams share a few cache-hot buffers.
     void assemble_quantized(Tensor3<std::int8_t>& k, Tensor3<std::int8_t>& v) const;

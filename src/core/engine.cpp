@@ -77,11 +77,6 @@ StepScratch& step_scratch() {
     return scratch;
 }
 
-/// Work units per K/V value the float run_step overload requantizes: one
-/// InputFx::from_float costs ~6 ns, ~10x a datapath work unit (an int8
-/// span-256 step: ~130 us for 0.2M units) on the sweep host.
-constexpr int kQuantizeWork = 10;
-
 }  // namespace
 
 // Crossover of the automatic decode-step budget, from `bench_decode
@@ -510,7 +505,7 @@ CompiledPlanPtr SaloEngine::compile_step(const HybridPattern& pattern,
 template <typename T, typename HeadFn>
 StepResult SaloEngine::run_step_heads(const CompiledPlan& micro, const Matrix<float>& q_row,
                                       const Tensor3<T>& k, const Tensor3<T>& v,
-                                      const RunOptions& options, int work_per_value,
+                                      const RunOptions& options, bool work_sized,
                                       HeadFn&& head_fn) const {
     check_compatible(micro);
     SALO_EXPECTS(micro.is_step());
@@ -530,9 +525,11 @@ StepResult SaloEngine::run_step_heads(const CompiledPlan& micro, const Matrix<fl
     result.position = sg.position;
     result.output = Tensor3<float>(heads, 1, d);
 
-    const std::int64_t work = std::int64_t{heads} * sg.compact_rows * d * work_per_value;
-    const int threads =
-        step_threads(options.thread_budget, config_.effective_threads(), work);
+    int threads =
+        options.thread_budget <= 0 ? config_.effective_threads() : options.thread_budget;
+    if (work_sized)
+        threads = step_threads(options.thread_budget, config_.effective_threads(),
+                               std::int64_t{heads} * sg.compact_rows * d);
     if (threads > 1 && heads > 1) {
         // Heads are independent; a step's per-head tile loop is tiny, so a
         // head is the only sensible work quantum.
@@ -553,7 +550,7 @@ StepResult SaloEngine::run_step(const CompiledPlan& micro, const Matrix<float>& 
     const Fidelity fidelity = options.fidelity.value_or(config_.fidelity);
     SALO_EXPECTS(fidelity != Fidelity::kGolden);  // the float rows are gone
     return run_step_heads(
-        micro, q_row, kq, vq, options, 1,
+        micro, q_row, kq, vq, options, /*work_sized=*/true,
         [&](int h, const RunControl* ctl, Matrix<float>& out) {
             return run_step_head(micro, q_row, h, kq[h], vq[h], scale, fidelity, ctl, out);
         });
@@ -563,11 +560,8 @@ StepResult SaloEngine::run_step(const CompiledPlan& micro, const Matrix<float>& 
                                 const Tensor3<float>& k, const Tensor3<float>& v,
                                 float scale, const RunOptions& options) const {
     const Fidelity fidelity = options.fidelity.value_or(config_.fidelity);
-    // Requantizing K and V costs far more per value than the datapath does,
-    // so it weighs in the automatic budget.
-    const int work_per_value = fidelity == Fidelity::kGolden ? 1 : 1 + 2 * kQuantizeWork;
     return run_step_heads(
-        micro, q_row, k, v, options, work_per_value,
+        micro, q_row, k, v, options, /*work_sized=*/false,
         [&](int h, const RunControl* ctl, Matrix<float>& out) {
             if (fidelity == Fidelity::kGolden)
                 return golden_step_head(micro, q_row, h, k[h], v[h], scale, ctl, out);

@@ -82,8 +82,8 @@ struct RunOptions {
     /// Execution fidelity; defaults to the engine's configured fidelity.
     std::optional<Fidelity> fidelity;
     /// See run(plan, q, k, v, scale, fidelity, thread_budget): <= 0 means
-    /// the configured thread count, 1 forces the sequential path. For
-    /// run_step, <= 0 means work-sized (step_threads).
+    /// the configured thread count, 1 forces the sequential path. For the
+    /// int8 run_step, <= 0 means work-sized (step_threads).
     int thread_budget = 0;
     /// Checked at every tile boundary; fires RequestCancelled.
     CancellationToken cancel;
@@ -175,8 +175,7 @@ public:
     /// datapath. Robustness hooks behave as in run(). At functional and
     /// cycle-accurate fidelity this quantizes k/v and runs the int8
     /// overload's core; golden fidelity computes in float. An automatic
-    /// thread budget counts the requantization in the step's work
-    /// (step_threads), so a 12 x 64 span-256 step already fans out.
+    /// thread budget fans the heads out over the whole pool, as run() does.
     StepResult run_step(const CompiledPlan& micro, const Matrix<float>& q_row,
                         const Tensor3<float>& k, const Tensor3<float>& v, float scale,
                         const RunOptions& options = {}) const;
@@ -305,14 +304,14 @@ private:
                               float scale, const RunControl* ctl, Matrix<float>& out) const;
 
     /// Shared shell of both run_step overloads: shape checks, hooks, and
-    /// the head loop (parallel across heads when step_threads allows, the
-    /// work counted as heads x rows x head_dim x `work_per_value`);
+    /// the head loop, parallel across heads on the lanes the thread budget
+    /// resolves to (`work_sized`: by step_threads, else as in run());
     /// head_fn(h, ctl, out) computes head h into `out` and returns its
     /// stats.
     template <typename T, typename HeadFn>
     StepResult run_step_heads(const CompiledPlan& micro, const Matrix<float>& q_row,
                               const Tensor3<T>& k, const Tensor3<T>& v,
-                              const RunOptions& options, int work_per_value,
+                              const RunOptions& options, bool work_sized,
                               HeadFn&& head_fn) const;
 
     /// The persistent worker pool (built on first use, sized num_threads).

@@ -1,22 +1,12 @@
 #include "core/plan_cache.hpp"
 
+#include <iterator>
 #include <utility>
 
 #include "common/hash.hpp"
 
 namespace salo {
 
-namespace {
-
-/// Bytes of warm-up micro-plans (positions below T0) one step family keeps;
-/// the P templates are kept on top. A micro-plan costs about
-/// span/cols + 2 tiles of ~rows x cols x 1.4 bytes, so the warm-up grows
-/// with span^2: 1.9 MB for a span-256 stream (all of it kept), 24 MB at
-/// span 1024 and 355 MB at span 4096 (only the first positions kept; the
-/// rest derive transiently for every stream).
-constexpr std::size_t kStepWarmUpBytes = std::size_t{4} << 20;
-
-/// Approximate heap bytes of a plan's schedule (the tiles dominate).
 std::size_t schedule_bytes(const CompiledPlan& plan) {
     std::size_t bytes = sizeof(CompiledPlan) + sizeof(SchedulePlan);
     for (const TileTask& t : plan.plan().tiles)
@@ -25,8 +15,6 @@ std::size_t schedule_bytes(const CompiledPlan& plan) {
                  t.global_fresh.size() + t.global_col_rows.size();
     return bytes;
 }
-
-}  // namespace
 
 PlanCache::PlanCache(std::size_t capacity, PlanCompileFn compile_fn)
     : capacity_(capacity == 0 ? 1 : capacity), compile_fn_(std::move(compile_fn)) {
@@ -223,8 +211,7 @@ CompiledPlanPtr PlanCache::warm_step(const HybridPattern& pattern, int head_dim,
         !same_family(*it->second->exemplar, pattern, head_dim, config)) {
         // A colliding shape under the same key replaces the family rather
         // than mixing plans of two shapes.
-        families_.erase(it->second);
-        family_by_key_.erase(it);
+        erase_family_locked(it->second);
         it = family_by_key_.end();
     }
     if (it == family_by_key_.end()) {
@@ -232,20 +219,20 @@ CompiledPlanPtr PlanCache::warm_step(const HybridPattern& pattern, int head_dim,
             family, fresh,
             std::vector<CompiledPlanPtr>(static_cast<std::size_t>(sp.start + sp.period))});
         it = family_by_key_.emplace(family, families_.begin()).first;
-        while (families_.size() > capacity_) {
-            family_by_key_.erase(families_.back().key);
-            families_.pop_back();
-        }
+        while (families_.size() > capacity_) erase_family_locked(std::prev(families_.end()));
     }
     StepFamily& fam = *it->second;
     CompiledPlanPtr& slot = fam.plans[static_cast<std::size_t>(t)];
-    if (t >= sp.start) {
-        slot = fresh;  // a template: always kept, later positions relabel it
-    } else if (slot == nullptr) {
+    if (slot == nullptr) {
+        // A template is always kept (later positions relabel it); a position
+        // below T0 only within the family's byte bound.
         const std::size_t bytes = schedule_bytes(*fresh);
-        if (fam.warm_up_bytes + bytes <= kStepWarmUpBytes) {
+        const bool is_template = t >= sp.start;
+        if (is_template || fam.warm_up_bytes + bytes <= kStepWarmUpBytes) {
             slot = fresh;
-            fam.warm_up_bytes += bytes;
+            fam.bytes += bytes;
+            if (!is_template) fam.warm_up_bytes += bytes;
+            step_plan_bytes_ += bytes;
         }
     }
     cv_compiled_.notify_all();
@@ -268,6 +255,12 @@ CompiledPlanPtr PlanCache::resolve_step(const std::shared_ptr<PlanCache>& shared
         ++step_derives_;
     }
     return fresh;
+}
+
+void PlanCache::erase_family_locked(FamilyList::iterator family) {
+    step_plan_bytes_ -= family->bytes;
+    family_by_key_.erase(family->key);
+    families_.erase(family);
 }
 
 void PlanCache::insert_locked(CompiledPlanPtr plan) {
@@ -294,6 +287,7 @@ PlanCacheStats PlanCache::stats() const {
     s.compiles = compiles_;
     s.step_derives = step_derives_;
     s.step_relabels = step_relabels_;
+    s.step_plan_bytes = step_plan_bytes_;
     s.shared_resolved = shared_resolved_;
     s.evictions = evictions_;
     s.size = lru_.size();
@@ -307,6 +301,7 @@ void PlanCache::clear() {
     by_key_.clear();
     families_.clear();
     family_by_key_.clear();
+    step_plan_bytes_ = 0;
 }
 
 }  // namespace salo

@@ -33,11 +33,12 @@
 //
 // Worst-case family bytes: a micro-plan holds about span/cols + 2 tiles of
 // ~rows x cols x 1.4 bytes, so a whole warm-up grows with span^2. The
-// positions below T0 are kept only up to 4 MiB per family (the rest derive
-// transiently for every stream); the P templates are always kept. Measured
-// on a 32 x 32 array with a causal band + global 0: span 256 keeps all 288
-// plans, 1.9 MB, about one 12 x 64 stream's K/V ring (1.9 MB of float and
-// int8 rows); span 1024 keeps 5.3 MB of its 24 MB warm-up and span 4096
+// positions below T0 are kept only up to kStepWarmUpBytes = 4 MiB per
+// family, counted by schedule_bytes (the rest derive transiently for every
+// stream); the P templates are always kept. Measured on a 32 x 32 array
+// with a causal band + global 0: span 256 keeps all 288 plans, 1.9 MB,
+// about one 12 x 64 stream's K/V ring (1.9 MB of float and int8 rows);
+// span 1024 keeps 5.3 MB of its 24 MB warm-up and span 4096
 // 9.4 MB of 355 MB (4 MiB below T0 plus 32 templates of 88 KB each). So
 // the family table holds at most capacity x (4 MiB + P x plan bytes).
 //
@@ -73,6 +74,10 @@ struct PlanCacheStats {
     /// Steady-state decode micro-plans built by relabelling a template
     /// (get_or_derive_step at t >= T0 + P; no scheduler pass, no entry).
     std::uint64_t step_relabels = 0;
+    /// schedule_bytes of the micro-plans kept in THIS cache's step
+    /// families (with a shared store, the store keeps and counts the same
+    /// plans too).
+    std::size_t step_plan_bytes = 0;
     /// Of misses: resolved by the attached shared store (no local compile).
     std::uint64_t shared_resolved = 0;
     std::uint64_t evictions = 0;   ///< LRU capacity evictions
@@ -84,6 +89,15 @@ struct PlanCacheStats {
         return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
     }
 };
+
+/// Bytes of warm-up micro-plans (positions below T0) one step family
+/// keeps, by schedule_bytes; its P templates are kept on top. Past it, a
+/// warm-up position derives transiently for every stream of the shape.
+inline constexpr std::size_t kStepWarmUpBytes = std::size_t{4} << 20;
+
+/// Approximate heap bytes of a plan's schedule (the tiles dominate): what
+/// the step families' byte bound counts.
+std::size_t schedule_bytes(const CompiledPlan& plan);
 
 /// The compile step a cache runs on a miss. Defaults to compile_shared;
 /// tests substitute throwing/counting fakes to exercise the dedup paths.
@@ -146,8 +160,12 @@ private:
         /// per-residue templates.
         std::vector<CompiledPlanPtr> plans;
         std::size_t warm_up_bytes = 0;  ///< kept plans below T0
+        std::size_t bytes = 0;          ///< all kept plans, templates included
     };
     using FamilyList = std::list<StepFamily>;
+
+    /// Drop a family and its bytes. Caller holds m_.
+    void erase_family_locked(FamilyList::iterator family);
 
     static std::uint64_t step_family_key(const HybridPattern& pattern, int head_dim,
                                          const SaloConfig& config);
@@ -185,6 +203,7 @@ private:
     std::uint64_t compiles_ = 0;
     std::uint64_t step_derives_ = 0;
     std::uint64_t step_relabels_ = 0;
+    std::size_t step_plan_bytes_ = 0;
     std::uint64_t shared_resolved_ = 0;
     std::uint64_t evictions_ = 0;
 };

@@ -508,6 +508,86 @@ TEST(StepFamily, CapacityPlusOneFamiliesEvictTheOldestWarmUp) {
     EXPECT_EQ(cache.stats().size, 0u);  // none of it in the LRU
 }
 
+TEST(StepFamily, WarmUpPastTheByteBoundKeepsTheFirstPositionsAndAllTemplates) {
+    // Span 512 on the default array: the warm-up below T0 outgrows
+    // kStepWarmUpBytes. The first stream keeps positions while they fit
+    // and every template; a second stream of the shape re-derives exactly
+    // the positions that were not kept, hits the rest, and every plan
+    // still equals a full derivation.
+    const SaloConfig config;
+    const int span = 512, d = 8;
+    const std::vector<Band> bands{Band{-(span - 1), span, 1, 0}};
+    const std::vector<int> globals{0};
+    const StepPeriod sp = step_period(HybridPattern(4096, bands, globals), config.geometry);
+    const int warm = sp.start + sp.period;
+    PlanCache cache(4);
+
+    std::size_t kept_bytes = 0, template_bytes = 0;
+    int kept = 0;
+    const auto stream = [&](bool first) {
+        for (int t = 0; t < warm + 3; ++t) {
+            const HybridPattern prefix = prefix_pattern(t + 1, bands, globals);
+            const CompiledPlan want = derive_micro_plan(compile(prefix, d, config));
+            SCOPED_TRACE(t);
+            expect_same_micro_plan(*cache.get_or_derive_step(prefix, d, config), want);
+            if (testing::Test::HasFailure()) return;
+            if (!first || t >= warm) continue;
+            // The retention rule, replayed: templates always, positions
+            // below T0 while the family's bytes stay within the bound.
+            const std::size_t bytes = schedule_bytes(want);
+            if (t >= sp.start) {
+                template_bytes += bytes;
+            } else if (kept_bytes + bytes <= kStepWarmUpBytes) {
+                kept_bytes += bytes;
+                ++kept;
+            }
+        }
+    };
+
+    stream(true);
+    const PlanCacheStats one = cache.stats();
+    ASSERT_LT(kept, sp.start);  // the bound was reached
+    EXPECT_EQ(one.step_derives, static_cast<std::uint64_t>(warm));
+    EXPECT_EQ(one.step_plan_bytes, kept_bytes + template_bytes);
+    EXPECT_LE(one.step_plan_bytes - template_bytes, kStepWarmUpBytes);
+
+    stream(false);
+    const PlanCacheStats two = cache.stats();
+    EXPECT_EQ(two.step_derives - one.step_derives,
+              static_cast<std::uint64_t>(sp.start - kept));
+    EXPECT_EQ(two.misses - one.misses, static_cast<std::uint64_t>(sp.start - kept));
+    // Kept positions, the P templates, and the 3 relabelled positions'
+    // template lookups.
+    EXPECT_EQ(two.hits - one.hits, static_cast<std::uint64_t>(kept + sp.period + 3));
+    EXPECT_EQ(two.step_plan_bytes, one.step_plan_bytes);
+    EXPECT_EQ(two.size, 0u);
+}
+
+TEST(StepFamily, ShapeWithoutAPeriodDerivesLatePositionsForEveryStream) {
+    // lcm(dilations) x rows > 16384: no period, no templates. The warm-up
+    // below T0 is kept as usual; every position >= T0 derives transiently,
+    // again for every stream, and still equals a full derivation.
+    const SaloConfig config;
+    const std::vector<Band> bands{Band{-3, 4, 1, 0}, Band{-9, 1, 601, 0}};
+    const std::vector<int> globals{0};
+    const StepPeriod sp = step_period(HybridPattern(64, bands, globals), config.geometry);
+    ASSERT_EQ(sp.period, 0);
+    const int late = 5;
+    PlanCache cache(4);
+    for (int stream = 0; stream < 2; ++stream)
+        for (int t = 0; t < sp.start + late; ++t) {
+            const HybridPattern prefix = prefix_pattern(t + 1, bands, globals);
+            SCOPED_TRACE(testing::Message() << "stream " << stream << " t=" << t);
+            expect_same_micro_plan(*cache.get_or_derive_step(prefix, 16, config),
+                                   derive_micro_plan(compile(prefix, 16, config)));
+            if (testing::Test::HasFailure()) return;
+        }
+    const PlanCacheStats st = cache.stats();
+    EXPECT_EQ(st.step_derives, static_cast<std::uint64_t>(sp.start + 2 * late));
+    EXPECT_EQ(st.step_relabels, 0u);
+    EXPECT_EQ(st.size, 0u);
+}
+
 // -------------------------------------------------------------------------
 // run_step bit-identity against full-prefix encode
 // -------------------------------------------------------------------------
@@ -1055,6 +1135,52 @@ TEST(DecodeSession, LifecycleContracts) {
     session.close();
     EXPECT_THROW(session.open_stream(pattern, 1, 8, 0.5f), SessionClosed);
     EXPECT_THROW(session.step(s, make_req(0)), SessionClosed);
+}
+
+TEST(DecodeSession, StreamsOfTwoHeadDimsShareOneThreadsStepBuffers) {
+    // Lone steps of two streams that differ only in head dim run on one
+    // dispatcher thread and assemble into its one pair of step buffers, at
+    // equal compact row counts every step: each output still equals the
+    // engine-only step on that stream's own rows.
+    const SaloConfig config;
+    const std::vector<Band> bands = {Band{-4, 5, 1, 0}};
+    const std::vector<int> globals = {0};
+    const int heads = 2, steps = 12;
+    const HybridPattern pattern(steps, bands, globals);
+    DecodeSession session(config);
+    const SaloEngine ref(config);
+    Rng rng(53u);
+    struct Stream {
+        int d;
+        StreamId id;
+        DecodeState state;
+    };
+    std::vector<Stream> streams;
+    for (const int d : {8, 16})
+        streams.push_back(Stream{d, session.open_stream(pattern, heads, d, 0.25f),
+                                 DecodeState(heads, d, decode_window_span(bands), globals)});
+    RunOptions one;
+    one.thread_budget = 1;
+    for (int t = 0; t < steps; ++t)
+        for (Stream& s : streams) {
+            StepRequest req;
+            req.q_row = random_matrix(heads, s.d, rng);
+            req.k_row = random_matrix(heads, s.d, rng);
+            req.v_row = random_matrix(heads, s.d, rng);
+            s.state.append(req.k_row, req.v_row);
+            const auto [kc, vc] = s.state.assemble();
+            const StepResult want = ref.run_step(
+                *ref.compile_step(prefix_pattern(t + 1, bands, globals), s.d), req.q_row, kc,
+                vc, 0.25f, one);
+            const StepResult got = session.step(s.id, std::move(req)).get();
+            ASSERT_EQ(got.output[0].cols(), s.d);
+            for (int h = 0; h < heads; ++h)
+                for (int x = 0; x < s.d; ++x)
+                    ASSERT_EQ(got.output[h](0, x), want.output[h](0, x))
+                        << "t=" << t << " d=" << s.d << " h=" << h << " x=" << x;
+            expect_sim_stats_equal(got.stats, want.stats);
+        }
+    session.close();
 }
 
 TEST(DecodeSession, SharedPlanStoreDerivesEachPositionOnceTierWide) {

@@ -147,6 +147,35 @@ TEST(DecodeState, QuantizedAssemblyReusesCallerBuffers) {
     }
 }
 
+TEST(DecodeState, QuantizedAssemblyReshapesBuffersForAnotherHeadDim) {
+    // One buffer pair serving states of two head dims at equal compact row
+    // counts (as a thread's step buffers serve every stream it runs) is
+    // reshaped on the column count alone: never overrun, never rejected.
+    Rng rng(31);
+    const int heads = 2, span = 4, steps = 9;
+    DecodeState narrow(heads, 8, span, {0});
+    DecodeState wide(heads, 16, span, {0});
+    Tensor3<std::int8_t> kq, vq;
+    for (int p = 0; p < steps; ++p) {
+        for (DecodeState* state : {&narrow, &wide}) {
+            const int d = state->head_dim();
+            state->append(random_matrix(heads, d, rng), random_matrix(heads, d, rng));
+        }
+        ASSERT_EQ(narrow.compact_rows(), wide.compact_rows());
+        for (const DecodeState* state : {&wide, &narrow, &wide, &narrow}) {
+            state->assemble_quantized(kq, vq);
+            ASSERT_EQ(kq.rows(), state->compact_rows());
+            ASSERT_EQ(kq.cols(), state->head_dim());
+            ASSERT_EQ(vq.cols(), state->head_dim());
+            const auto [kc, vc] = state->assemble();
+            for (int h = 0; h < heads; ++h) {
+                EXPECT_EQ(kq[h], quantize<InputFx>(kc[h]));
+                EXPECT_EQ(vq[h], quantize<InputFx>(vc[h]));
+            }
+        }
+    }
+}
+
 TEST(DecodeState, GlobalTokenAtStepOneIsPinnedAndRingResident) {
     // Step 1 edge: position 0 is global; right after the first append it is
     // both pinned and inside the ring, and the two copies are identical.

@@ -48,11 +48,13 @@
 
 #include "common/rng.hpp"
 #include "core/salo.hpp"
+#include "host.hpp"
 #include "sim/kernels.hpp"
 
 namespace {
 
 using namespace salo;
+using salo::bench::cpu_model;
 
 double ms_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
@@ -121,20 +123,6 @@ std::vector<Matrix<float>> reference_chain(const SaloEngine& engine,
         expected.push_back(std::move(row));
     }
     return expected;
-}
-
-/// The host's CPU model string ("unknown" without /proc/cpuinfo).
-std::string cpu_model() {
-    std::ifstream in("/proc/cpuinfo");
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.rfind("model name", 0) != 0) continue;
-        const auto colon = line.find(':');
-        if (colon == std::string::npos) break;
-        const auto first = line.find_first_not_of(' ', colon + 1);
-        return first == std::string::npos ? "unknown" : line.substr(first);
-    }
-    return "unknown";
 }
 
 double process_cpu_us() {

@@ -1,18 +1,24 @@
 // End-to-end functional-simulation throughput: the seed's sequential scalar
 // path vs the overhauled engine (SIMD kernels, arena parts, persistent
-// worker pool with tile-level parallelism).
+// worker pool with head-level parallelism).
 //
 // The baseline configuration (`seed_reference_1t`) runs the original
 // datapath loops preserved behind SaloConfig::reference_datapath on one
-// thread — the seed's execution path. Every configuration is verified to
-// produce bit-identical outputs and identical simulation statistics before
-// any number is reported.
+// thread — the seed's execution path. The optimized engine runs at 1 and 8
+// threads and at the host's hardware thread count (`optimized_hw`). Every
+// configuration is verified to produce bit-identical outputs and identical
+// simulation statistics before any number is reported.
 //
 //   bench_throughput [--quick] [--heads N] [--json <path>]
+//   bench_throughput --sweep [--heads N]
 //
 // --json writes a machine-readable snapshot (the BENCH_throughput.json
-// trajectory at the repo root); wired up as the CMake target
-// `bench_throughput_json`.
+// trajectory at the repo root, with the host's ISA, thread count and CPU
+// model); wired up as the CMake target `bench_throughput_json`.
+//
+// --sweep is the thread-scaling check of docs/PERFORMANCE.md: the optimized
+// engine at 1, 2, 4 and 8 threads, best of 3 each, with the wall-time
+// speedup over 1 thread (exit code 1 only on a bit-identity mismatch).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -24,6 +30,7 @@
 #include <vector>
 
 #include "core/salo.hpp"
+#include "host.hpp"
 #include "sim/kernels.hpp"
 #include "workload/workloads.hpp"
 
@@ -35,8 +42,9 @@ using salo::QkvSet;
 using salo::SaloConfig;
 using salo::SaloEngine;
 
-double median_ms(const SaloConfig& config, const AttentionWorkload& w, const QkvSet& qkv,
-                 int reps, LayerResult* out) {
+/// Wall times of `reps` runs of one engine, sorted ascending.
+std::vector<double> times_ms(const SaloConfig& config, const AttentionWorkload& w,
+                             const QkvSet& qkv, int reps, LayerResult* out) {
     // One engine for all reps: the persistent pool and its arenas are
     // steady-state across calls, which is exactly what we want to measure.
     const SaloEngine engine(config);
@@ -50,6 +58,12 @@ double median_ms(const SaloConfig& config, const AttentionWorkload& w, const Qkv
         if (out) *out = std::move(r);
     }
     std::sort(times.begin(), times.end());
+    return times;
+}
+
+double median_ms(const SaloConfig& config, const AttentionWorkload& w, const QkvSet& qkv,
+                 int reps, LayerResult* out) {
+    const std::vector<double> times = times_ms(config, w, qkv, reps, out);
     return times[times.size() / 2];
 }
 
@@ -69,20 +83,52 @@ bool identical(const LayerResult& a, const LayerResult& b) {
     return true;
 }
 
+/// --sweep: best of 3 at 1, 2, 4 and 8 threads, speedups over 1 thread.
+int run_sweep(const AttentionWorkload& w, const QkvSet& qkv) {
+    std::printf("workload: Longformer-4096, %d heads, d=%d (functional fidelity)\n",
+                w.heads, w.head_dim);
+    std::printf("kernel ISA: %s, hardware threads: %d, CPU: %s, best of 3\n\n",
+                salo::kernels::isa_name(), salo::default_num_threads(),
+                salo::bench::cpu_model().c_str());
+    LayerResult base;
+    double base_ms = 0.0;
+    bool bit_identical = true;
+    for (int threads : {1, 2, 4, 8}) {
+        SaloConfig config;
+        config.num_threads = threads;
+        LayerResult r;
+        const double ms = times_ms(config, w, qkv, 3, &r).front();
+        if (threads == 1) {
+            base = std::move(r);
+            base_ms = ms;
+        } else {
+            bit_identical = bit_identical && identical(base, r);
+        }
+        std::printf("%d thread%s %9.1f ms   (%.2fx vs 1 thread)\n", threads,
+                    threads == 1 ? " " : "s", ms, base_ms / ms);
+    }
+    std::printf("\nbit-identical outputs + stats across thread counts: %s\n",
+                bit_identical ? "yes" : "NO — BUG");
+    return bit_identical ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
     bool quick = false;
+    bool sweep = false;
     int heads_override = 0;
     std::string json_path;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+        else if (std::strcmp(argv[i], "--sweep") == 0) sweep = true;
         else if (std::strcmp(argv[i], "--heads") == 0 && i + 1 < argc)
             heads_override = std::atoi(argv[++i]);
         else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
             json_path = argv[++i];
         else {
-            std::cerr << "usage: bench_throughput [--quick] [--heads N] [--json path]\n";
+            std::cerr << "usage: bench_throughput [--quick] [--heads N] [--json path]\n"
+                         "       bench_throughput --sweep [--heads N]\n";
             return 2;
         }
     }
@@ -92,6 +138,7 @@ int main(int argc, char** argv) {
     else if (quick) w.heads = 2;
     const int reps = quick ? 1 : 3;
     const QkvSet qkv = salo::make_qkv(w, 42);
+    if (sweep) return run_sweep(w, qkv);
 
     SaloConfig seed_cfg;
     seed_cfg.num_threads = 1;
@@ -100,21 +147,27 @@ int main(int argc, char** argv) {
     opt1_cfg.num_threads = 1;
     SaloConfig opt8_cfg;
     opt8_cfg.num_threads = 8;
+    SaloConfig opthw_cfg;
+    opthw_cfg.num_threads = salo::default_num_threads();
 
     std::printf("workload: Longformer-4096, %d heads, d=%d (functional fidelity)\n",
                 w.heads, w.head_dim);
-    std::printf("kernel ISA: %s, hardware threads: %d, reps: %d (median)\n\n",
-                salo::kernels::isa_name(), salo::default_num_threads(), reps);
+    std::printf("kernel ISA: %s, hardware threads: %d, CPU: %s, reps: %d (median)\n\n",
+                salo::kernels::isa_name(), salo::default_num_threads(),
+                salo::bench::cpu_model().c_str(), reps);
 
-    LayerResult r_seed, r_opt1, r_opt8;
+    LayerResult r_seed, r_opt1, r_opt8, r_opthw;
     const double seed_ms = median_ms(seed_cfg, w, qkv, reps, &r_seed);
     std::printf("%-24s %9.1f ms\n", "seed_reference_1t", seed_ms);
     const double opt1_ms = median_ms(opt1_cfg, w, qkv, reps, &r_opt1);
     std::printf("%-24s %9.1f ms   (%.2fx)\n", "optimized_1t", opt1_ms, seed_ms / opt1_ms);
     const double opt8_ms = median_ms(opt8_cfg, w, qkv, reps, &r_opt8);
     std::printf("%-24s %9.1f ms   (%.2fx)\n", "optimized_8t", opt8_ms, seed_ms / opt8_ms);
+    const double opthw_ms = median_ms(opthw_cfg, w, qkv, reps, &r_opthw);
+    std::printf("%-24s %9.1f ms   (%.2fx)\n", "optimized_hw", opthw_ms, seed_ms / opthw_ms);
 
-    const bool bit_identical = identical(r_seed, r_opt1) && identical(r_seed, r_opt8);
+    const bool bit_identical = identical(r_seed, r_opt1) && identical(r_seed, r_opt8) &&
+                               identical(r_seed, r_opthw);
     std::printf("\nbit-identical outputs + stats across all configs: %s\n",
                 bit_identical ? "yes" : "NO — BUG");
     std::printf("layer cycles: %lld, tiles: %lld\n",
@@ -137,10 +190,12 @@ int main(int argc, char** argv) {
            << "  \"fidelity\": \"functional\",\n"
            << "  \"kernel_isa\": \"" << salo::kernels::isa_name() << "\",\n"
            << "  \"hardware_threads\": " << salo::default_num_threads() << ",\n"
+           << "  \"cpu_model\": \"" << salo::bench::cpu_model() << "\",\n"
            << "  \"reps\": " << reps << ",\n"
            << "  \"seed_reference_1t_ms\": " << seed_ms << ",\n"
            << "  \"optimized_1t_ms\": " << opt1_ms << ",\n"
            << "  \"optimized_8t_ms\": " << opt8_ms << ",\n"
+           << "  \"optimized_hw_ms\": " << opthw_ms << ",\n"
            << "  \"speedup_1t_vs_seed\": " << seed_ms / opt1_ms << ",\n"
            << "  \"speedup_8t_vs_seed\": " << seed_ms / opt8_ms << ",\n"
            << "  \"bit_identical\": " << (bit_identical ? "true" : "false") << ",\n"

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "numeric/fixed.hpp"
+#include "sim/kernels.hpp"
 
 namespace salo {
 
@@ -52,23 +52,22 @@ template <typename T>
 void DecodeState::store(RowStore<T>& rows, const Matrix<float>& row, bool is_global) {
     const auto slot = static_cast<std::size_t>(length_ % span_);  // overwriting = eviction
     const auto d = static_cast<std::size_t>(head_dim_);
-    const auto convert = [](float x) -> T {
+    const auto convert = [](std::span<const float> src, T* dst) {
         if constexpr (std::is_same_v<T, float>)
-            return x;
+            std::ranges::copy(src, dst);
         else
-            return InputFx::from_float(x).raw();
+            kernels::quantize_input(src.data(), src.size(), 1.0f, dst);
     };
     for (int h = 0; h < heads_; ++h) {
         const std::span<const float> src = row.row(h);
         std::vector<T>& ring = rows.ring[static_cast<std::size_t>(h)];
         if (length_ < span_) ring.resize(ring.size() + d);  // within the reserved capacity
-        std::ranges::transform(src, ring.begin() + static_cast<std::ptrdiff_t>(slot * d),
-                               convert);
+        convert(src, ring.data() + slot * d);
         // Globals arrive in ascending order, so pins append in order too.
         if (!is_global) continue;
         std::vector<T>& pin = rows.pin[static_cast<std::size_t>(h)];
         pin.resize(pin.size() + d);
-        std::ranges::transform(src, pin.end() - static_cast<std::ptrdiff_t>(d), convert);
+        convert(src, pin.data() + pin.size() - d);
     }
 }
 

@@ -7,6 +7,7 @@
 #include "attention/golden.hpp"
 #include "numeric/quantize.hpp"
 #include "sim/cycle_accurate.hpp"
+#include "sim/kernels.hpp"
 #include "sim/tile_executor.hpp"
 #include "sim/wsm.hpp"
 
@@ -61,19 +62,21 @@ private:
     CycleBreakdown last_breakdown_;
 };
 
-/// Buffers of one decode-step head, reused by every head and step that
-/// runs on the same thread (a dispatcher, a pool worker, a caller), so a
-/// steady-state step allocates only its output.
-struct StepScratch {
-    Matrix<std::int8_t> qq;  ///< the scaled, quantized query row (1 x d)
+/// Buffers of one head's sequential tile loop — a layer head or a decode-
+/// step head — reused by every head and step that runs on the same thread
+/// (a dispatcher, a pool worker, a caller): the arena holds one tile's
+/// parts and stays in cache, and a steady-state step allocates only its
+/// output. The two loops never nest on one thread.
+struct LoopScratch {
+    Matrix<std::int8_t> qq;  ///< decode step: the scaled, quantized query row (1 x d)
     PartArena arena;
     PartScratch part;
     std::vector<TilePart> parts;  ///< reference and cycle-accurate paths
-    std::optional<WeightedSumModule> wsm;
+    std::optional<WeightedSumModule> wsm;  ///< decode step
 };
 
-StepScratch& step_scratch() {
-    thread_local StepScratch scratch;
+LoopScratch& loop_scratch() {
+    thread_local LoopScratch scratch;
     return scratch;
 }
 
@@ -150,7 +153,7 @@ HeadResult SaloEngine::run_head_impl(const SchedulePlan& plan,
                                      const Matrix<float>& q, const Matrix<float>& k,
                                      const Matrix<float>& v, float scale,
                                      Fidelity fidelity, int threads,
-                                     ParallelWorkspace* ws, const RunControl* ctl) const {
+                                     const RunControl* ctl) const {
     const int n = q.rows();
     const int d = q.cols();
     SALO_EXPECTS(n == pattern.n());
@@ -167,20 +170,15 @@ HeadResult SaloEngine::run_head_impl(const SchedulePlan& plan,
 
     // Quantize at the accelerator boundary; the 1/sqrt(d) scaling is folded
     // into Q (driver-side preprocessing, see DESIGN.md).
-    Matrix<float> q_scaled = q;
-    for (auto& x : q_scaled.data()) x *= scale;
-    const Matrix<std::int8_t> qq = quantize<InputFx>(q_scaled);
+    const Matrix<std::int8_t> qq = quantize_scaled(q, scale);
     const Matrix<std::int8_t> kq = quantize<InputFx>(k);
     const Matrix<std::int8_t> vq = quantize<InputFx>(v);
 
     // The reference datapath exists only in the sequential loop; honoring
     // the flag beats silently benchmarking the optimized path as "seed".
     const bool parallel_ok = !config_.reference_datapath;
-    if (parallel_ok && threads > 1 && static_cast<int>(plan.tiles.size()) > 1) {
-        if (ws != nullptr) return run_head_parallel(plan, fidelity, qq, kq, vq, *ws, ctl);
-        ParallelWorkspace scratch_ws;
-        return run_head_parallel(plan, fidelity, qq, kq, vq, scratch_ws, ctl);
-    }
+    if (parallel_ok && threads > 1 && static_cast<int>(plan.tiles.size()) > 1)
+        return run_head_parallel(plan, fidelity, qq, kq, vq, ctl);
     return run_head_sequential(plan, fidelity, qq, kq, vq, ctl);
 }
 
@@ -197,10 +195,12 @@ HeadResult SaloEngine::run_head_sequential(const SchedulePlan& plan, Fidelity fi
     const CycleConfig ccfg = config_.cycle_config();
     TileAccountant accountant(config_, d);
 
+    LoopScratch& scratch = loop_scratch();
+    std::vector<TilePart>& parts = scratch.parts;
+
     if (fidelity == Fidelity::kFunctional) {
         const TileExecutor exec(exp_unit_, recip_unit_, qq, kq, vq);
         if (config_.reference_datapath) {
-            std::vector<TilePart> parts;
             for (int t = 0; t < num_tiles; ++t) {
                 if (ctl != nullptr) ctl->check(t);
                 const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
@@ -212,13 +212,12 @@ HeadResult SaloEngine::run_head_sequential(const SchedulePlan& plan, Fidelity fi
                     static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
             }
         } else {
-            PartArena arena;
-            PartScratch scratch;
+            PartArena& arena = scratch.arena;
             for (int t = 0; t < num_tiles; ++t) {
                 if (ctl != nullptr) ctl->check(t);
                 const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
                 arena.reset();
-                exec.run(tile, arena, result.stats.activity, scratch);
+                exec.run(tile, arena, result.stats.activity, scratch.part);
                 for (std::size_t i = 0; i < arena.used(); ++i) wsm.merge(arena.at(i));
                 const CycleBreakdown& b = accountant.account(tile, result.stats);
                 result.stats.activity.pe_cycles +=
@@ -228,7 +227,6 @@ HeadResult SaloEngine::run_head_sequential(const SchedulePlan& plan, Fidelity fi
     } else {
         const CycleAccurateArray array(config_.geometry, ccfg, exp_unit_, recip_unit_, qq,
                                        kq, vq);
-        std::vector<TilePart> parts;
         for (int t = 0; t < num_tiles; ++t) {
             if (ctl != nullptr) ctl->check(t);
             const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
@@ -244,7 +242,9 @@ HeadResult SaloEngine::run_head_sequential(const SchedulePlan& plan, Fidelity fi
 }
 
 // ---------------------------------------------------------------------------
-// Tile-level parallel execution: tiles of ONE head run concurrently.
+// Tile-level parallel execution: tiles of ONE head run concurrently. Only a
+// single-head run takes this path (run_head, 1-head layers); a multi-head
+// layer parallelizes across heads instead (see run()).
 //
 // Phase A  workers claim tiles from the pool's ticket counter and execute
 //          them into per-lane part arenas, recording an (arena, range) span
@@ -262,7 +262,6 @@ HeadResult SaloEngine::run_head_parallel(const SchedulePlan& plan, Fidelity fide
                                          const Matrix<std::int8_t>& qq,
                                          const Matrix<std::int8_t>& kq,
                                          const Matrix<std::int8_t>& vq,
-                                         ParallelWorkspace& ws,
                                          const RunControl* ctl) const {
     const int n = qq.rows();
     const int d = qq.cols();
@@ -274,18 +273,15 @@ HeadResult SaloEngine::run_head_parallel(const SchedulePlan& plan, Fidelity fide
     ThreadPool& workers = pool();
     const int lanes = workers.lanes();
 
-    ws.lane_activity.assign(static_cast<std::size_t>(lanes), ActivityStats{});
-    std::vector<ActivityStats>& lane_activity = ws.lane_activity;
-    ws.tile_bounds.resize(static_cast<std::size_t>(num_tiles));
-    std::vector<QueryShard>& tile_bounds = ws.tile_bounds;
+    std::vector<ActivityStats> lane_activity(static_cast<std::size_t>(lanes));
+    std::vector<QueryShard> tile_bounds(static_cast<std::size_t>(num_tiles));
 
     // Phase B, shared by both fidelities: every shard replays the full tile
     // list in schedule order — skipping tiles whose part queries fall
     // outside its range — and merges only its own queries, so per-query
     // merge order equals the sequential order for any lane count.
     auto replay_shards = [&](auto&& for_each_part_of_tile) {
-        if (ws.shards.empty()) ws.shards = partition_query_rows(plan, lanes);
-        const std::vector<QueryShard>& shards = ws.shards;
+        const std::vector<QueryShard> shards = partition_query_rows(plan, lanes);
         workers.parallel_for(static_cast<int>(shards.size()), [&](int s, int) {
             const QueryShard shard = shards[static_cast<std::size_t>(s)];
             for (int t = 0; t < num_tiles; ++t) {
@@ -300,13 +296,9 @@ HeadResult SaloEngine::run_head_parallel(const SchedulePlan& plan, Fidelity fide
 
     if (fidelity == Fidelity::kFunctional) {
         const TileExecutor exec(exp_unit_, recip_unit_, qq, kq, vq);
-        ws.arenas.resize(static_cast<std::size_t>(lanes));
-        for (PartArena& a : ws.arenas) a.reset();
-        ws.scratch.resize(static_cast<std::size_t>(lanes));
-        ws.spans.resize(static_cast<std::size_t>(num_tiles));
-        std::vector<PartArena>& arenas = ws.arenas;
-        std::vector<PartScratch>& scratch = ws.scratch;
-        std::vector<PartSpan>& spans = ws.spans;
+        std::vector<PartArena> arenas(static_cast<std::size_t>(lanes));
+        std::vector<PartScratch> scratch(static_cast<std::size_t>(lanes));
+        std::vector<PartSpan> spans(static_cast<std::size_t>(num_tiles));
 
         // Larger claim chunks cut ticket-counter contention; tiles are small.
         const int chunk = std::max(1, num_tiles / (lanes * 8));
@@ -350,9 +342,7 @@ HeadResult SaloEngine::run_head_parallel(const SchedulePlan& plan, Fidelity fide
     } else {
         const CycleAccurateArray array(config_.geometry, ccfg, exp_unit_, recip_unit_, qq,
                                        kq, vq);
-        ws.tile_parts.resize(static_cast<std::size_t>(num_tiles));
-        for (auto& parts : ws.tile_parts) parts.clear();
-        std::vector<std::vector<TilePart>>& tile_parts = ws.tile_parts;
+        std::vector<std::vector<TilePart>> tile_parts(static_cast<std::size_t>(num_tiles));
 
         workers.parallel_for(num_tiles, [&](int t, int lane) {
             if (ctl != nullptr) ctl->check(t);
@@ -441,14 +431,14 @@ SimStats SaloEngine::run_step_head(const CompiledPlan& micro, const Matrix<float
                                    Matrix<float>& out) const {
     const int d = micro.head_dim();
     SimStats stats;
-    StepScratch& scratch = step_scratch();
+    LoopScratch& scratch = loop_scratch();
 
     // Quantization is elementwise, so the single scaled query row and the
     // compact K/V rows (quantized at append) carry exactly the bits the
     // full-prefix run produces for the same rows.
     if (scratch.qq.cols() != d) scratch.qq = Matrix<std::int8_t>(1, d, 0);
-    for (int x = 0; x < d; ++x)
-        scratch.qq(0, x) = InputFx::from_float(q_row(head, x) * scale).raw();
+    kernels::quantize_input(q_row.row(head).data(), static_cast<std::size_t>(d), scale,
+                            scratch.qq.data().data());
     const Matrix<std::int8_t>& qq = scratch.qq;
 
     const SchedulePlan& plan = micro.plan();
@@ -620,35 +610,24 @@ LayerResult SaloEngine::run(const CompiledPlan& plan, const Tensor3<float>& q,
     const int threads =
         options.thread_budget <= 0 ? config_.effective_threads() : options.thread_budget;
     std::vector<HeadResult> head_results(static_cast<std::size_t>(heads));
+    const auto run_one = [&](int h, int head_threads) {
+        head_results[static_cast<std::size_t>(h)] =
+            run_head_impl(p, pattern, q[h], k[h], v[h], scale, fidelity, head_threads, ctl);
+    };
 
-    if (threads == 1) {
-        for (int h = 0; h < heads; ++h)
-            head_results[static_cast<std::size_t>(h)] =
-                run_head_impl(p, pattern, q[h], k[h], v[h], scale, fidelity, 1, nullptr,
-                              ctl);
-    } else if (!config_.reference_datapath && fidelity != Fidelity::kGolden &&
-               (static_cast<int>(p.tiles.size()) >= 2 * threads || heads == 1)) {
-        // (Golden fidelity has no tiles to parallelize — it goes through the
-        // head-parallel branch below, like the original engine striped it.)
-        // Large plans: tile-level parallelism inside each head dominates
-        // (near-perfect balance even when heads % threads != 0). One
-        // workspace serves every head so arenas keep their capacity.
-        ParallelWorkspace ws;
-        for (int h = 0; h < heads; ++h)
-            head_results[static_cast<std::size_t>(h)] =
-                run_head_impl(p, pattern, q[h], k[h], v[h], scale, fidelity, threads, &ws,
-                              ctl);
+    if (threads > 1 && heads > 1) {
+        // Heads share no state, so a head is the work unit: each lane claims
+        // whole heads and runs the sequential tile loop (quantize, execute,
+        // merge, account) on its own cache-resident buffers. Two or more
+        // heads beat splitting one head's tiles across the lanes in wall
+        // time and CPU, even with fewer heads than lanes
+        // (docs/PERFORMANCE.md "Threading model"). Heads are independent,
+        // so results are identical either way, and the two levels never nest.
+        pool().parallel_for(heads, [&](int h, int) { run_one(h, 1); });
     } else {
-        // Small plans — and the reference datapath, which exists only in
-        // the sequential tile loop but still parallelizes across heads,
-        // like the original engine did: a head is the work quantum. Heads
-        // are independent, so results are identical either way; each task
-        // runs the sequential path (the two levels never nest).
-        pool().parallel_for(heads, [&](int h, int) {
-            head_results[static_cast<std::size_t>(h)] =
-                run_head_impl(p, pattern, q[h], k[h], v[h], scale, fidelity, 1, nullptr,
-                              ctl);
-        });
+        // One thread, or one head: a single head's tiles are the only
+        // parallelism left, and run_head_impl forks them over the pool.
+        for (int h = 0; h < heads; ++h) run_one(h, threads);
     }
 
     for (int h = 0; h < heads; ++h) {

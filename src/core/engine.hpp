@@ -24,11 +24,13 @@
 //                    validates the analytic cycle model).
 //
 // Execution: the engine owns a persistent worker pool and parallelizes at
-// two levels — across heads when there are many small plans, and across the
-// tiles of a single plan otherwise (per-lane part arenas, then a sharded
+// one of two levels — across heads whenever a layer has two or more (each
+// lane claims whole heads and runs the sequential tile loop), and across
+// the tiles of the one head otherwise (per-lane part arenas, then a sharded
 // ordered merge into the weighted-sum module). Both levels are bit-identical
-// to the sequential path for every thread count: tile outputs are replayed
-// in schedule order per query shard, and all datapath arithmetic is integer.
+// to the sequential path for every thread count: heads share no state, tile
+// outputs are replayed in schedule order per query shard, and all datapath
+// arithmetic is integer.
 #pragma once
 
 #include <chrono>
@@ -48,7 +50,6 @@
 #include "pattern/pattern.hpp"
 #include "scheduler/scheduler.hpp"
 #include "sim/cycle_formulas.hpp"
-#include "sim/part_builder.hpp"
 #include "sim/parts.hpp"
 #include "tensor/tensor3.hpp"
 
@@ -246,19 +247,6 @@ private:
         }
     };
 
-    /// Per-lane buffers of the tile-parallel path, reused across the heads
-    /// of one layer so arenas keep their capacity (allocating ~parts-per-
-    /// head of fresh vectors per head costs more than the merge itself).
-    struct ParallelWorkspace {
-        std::vector<PartArena> arenas;
-        std::vector<PartScratch> scratch;
-        std::vector<PartSpan> spans;
-        std::vector<ActivityStats> lane_activity;
-        std::vector<std::vector<TilePart>> tile_parts;  ///< cycle-accurate path
-        std::vector<QueryShard> shards;       ///< merge shards, shared across heads
-        std::vector<QueryShard> tile_bounds;  ///< per-tile part query range [lo, hi)
-    };
-
     /// The plan must match this engine's geometry/options (checked).
     void check_compatible(const CompiledPlan& plan) const;
 
@@ -267,14 +255,12 @@ private:
     RunControl run_control(const RunOptions& options) const;
 
     /// `threads` is the lane budget for THIS head (1 = sequential; callers
-    /// running heads in parallel pass 1 so levels never nest). `ws` may be
-    /// null (a scratch workspace is created when needed). `ctl` may be null
-    /// (no robustness hooks active).
+    /// running heads in parallel pass 1 so levels never nest). `ctl` may be
+    /// null (no robustness hooks active).
     HeadResult run_head_impl(const SchedulePlan& plan, const HybridPattern& pattern,
                              const Matrix<float>& q, const Matrix<float>& k,
                              const Matrix<float>& v, float scale, Fidelity fidelity,
-                             int threads, ParallelWorkspace* ws = nullptr,
-                             const RunControl* ctl = nullptr) const;
+                             int threads, const RunControl* ctl = nullptr) const;
 
     HeadResult run_head_sequential(const SchedulePlan& plan, Fidelity fidelity,
                                    const Matrix<std::int8_t>& qq,
@@ -286,7 +272,6 @@ private:
                                  const Matrix<std::int8_t>& qq,
                                  const Matrix<std::int8_t>& kq,
                                  const Matrix<std::int8_t>& vq,
-                                 ParallelWorkspace& ws,
                                  const RunControl* ctl = nullptr) const;
 
     /// One head of one decode step on the integer datapath, its output row

@@ -250,8 +250,9 @@ void SaloSession::serve_batch(std::vector<Pending>& batch, BatchTally& tally) {
 
     if (live.empty()) return;
     if (live.size() == 1) {
-        // Idle server: give the lone request the whole pool (tile-level
-        // parallelism inside the request, budget 0 = configured lanes).
+        // Idle server: give the lone request the whole pool (its heads, or
+        // a single head's tiles, across the lanes; budget 0 = configured
+        // lanes).
         tally_one(execute(live.front(), /*thread_budget=*/0));
         return;
     }

@@ -8,7 +8,8 @@
 // engine's persistent worker pool:
 //
 //   * a batch of one (an idle server) executes with the full lane budget —
-//     tile-level parallelism inside the single request;
+//     the request's heads spread over the lanes (its tiles, when it has a
+//     single head);
 //   * a batch of many heterogeneous requests (different patterns, sequence
 //     lengths, fidelities) executes request-parallel — each request runs
 //     the pure sequential path on one pool lane, so the pool is busy with

@@ -3,17 +3,35 @@
 // accelerator's fixed-point world.
 #pragma once
 
+#include <type_traits>
+
 #include "numeric/fixed.hpp"
+#include "sim/kernels.hpp"
 #include "tensor/matrix.hpp"
 
 namespace salo {
 
+/// InputFx raw bits of m * scale through the dispatched vector quantizer
+/// (kernels::quantize_input, bit-identical to the scalar conversion). The
+/// scale is the quantizer's own float multiply, so no scaled copy of m is
+/// made.
+inline Matrix<std::int8_t> quantize_scaled(const Matrix<float>& m, float scale) {
+    Matrix<std::int8_t> out(m.rows(), m.cols());
+    kernels::quantize_input(m.data().data(), m.data().size(), scale, out.data().data());
+    return out;
+}
+
 /// Quantize a float matrix to the raw storage of format Fx (saturating,
-/// round-to-nearest). The result holds raw Q-format integers.
+/// round-to-nearest). The result holds raw Q-format integers; the
+/// accelerator's input format goes through the vector quantizer.
 template <typename Fx>
 Matrix<typename Fx::storage_type> quantize(const Matrix<float>& m) {
-    return m.template map<typename Fx::storage_type>(
-        [](float v) { return Fx::from_float(v).raw(); });
+    if constexpr (std::is_same_v<Fx, InputFx>) {
+        return quantize_scaled(m, 1.0f);
+    } else {
+        return m.template map<typename Fx::storage_type>(
+            [](float v) { return Fx::from_float(v).raw(); });
+    }
 }
 
 /// Dequantize raw Q-format integers back to float.

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 
+#include "numeric/fixed.hpp"       // InputFx (quantizer scalar form)
 #include "numeric/reciprocal.hpp"  // normalize_prob (stage-4 scalar form)
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -86,6 +87,11 @@ void mix_i32_scalar(std::int32_t* out, const std::int32_t* in, std::uint32_t a,
             round_shift(static_cast<std::int64_t>(a) * out[t] +
                             static_cast<std::int64_t>(b) * in[t],
                         sf));
+}
+
+void quantize_input_scalar(const float* src, std::size_t count, float scale,
+                           std::int8_t* dst) {
+    for (std::size_t i = 0; i < count; ++i) dst[i] = InputFx::from_float(src[i] * scale).raw();
 }
 
 #if defined(SALO_X86_DISPATCH)
@@ -407,6 +413,69 @@ __attribute__((target("avx512f,avx512dq"))) static void mix_i32_avx512(
     if (t < d) mix_i32_scalar(out + t, in + t, a, b, d - t);
 }
 
+// ---------------------------------------------------------------------------
+// Quantizer. Per lane: y = src * scale (the scalar float multiply), z = y * 16
+// (exact: a power of two; an overflow to inf saturates like the double
+// path), clamp to [-128, 127] (integers, so clamping before rounding equals
+// saturating after it), round to nearest even, NaN lanes zeroed. The
+// clamp's NaN handling does not matter: those lanes are masked to 0.
+// ---------------------------------------------------------------------------
+
+constexpr float kInputScale = static_cast<float>(InputFx::scale);
+constexpr float kInputMin = static_cast<float>(InputFx::raw_min);
+constexpr float kInputMax = static_cast<float>(InputFx::raw_max);
+
+__attribute__((target("avx2"))) static void quantize_input_avx2(const float* src,
+                                                               std::size_t count,
+                                                               float scale,
+                                                               std::int8_t* dst) {
+    const __m256 sv = _mm256_set1_ps(scale);
+    const __m256 fx = _mm256_set1_ps(kInputScale);
+    const __m256 lo = _mm256_set1_ps(kInputMin);
+    const __m256 hi = _mm256_set1_ps(kInputMax);
+    std::size_t i = 0;
+    for (; i + 8 <= count; i += 8) {
+        const __m256 y = _mm256_mul_ps(_mm256_loadu_ps(src + i), sv);
+        const __m256 z = _mm256_mul_ps(y, fx);
+        const __m256 ordered = _mm256_cmp_ps(z, z, _CMP_ORD_Q);
+        __m256 r = _mm256_min_ps(_mm256_max_ps(z, lo), hi);
+        r = _mm256_round_ps(r, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+        r = _mm256_and_ps(r, ordered);
+        const __m256i w = _mm256_cvttps_epi32(r);
+        const __m128i h = _mm_packs_epi32(_mm256_castsi256_si128(w),
+                                          _mm256_extracti128_si256(w, 1));
+        _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + i), _mm_packs_epi16(h, h));
+    }
+    quantize_input_scalar(src + i, count - i, scale, dst + i);
+}
+
+__attribute__((target("avx512f"))) static inline __m512i quantize_lanes_avx512(__m512 x,
+                                                                             __m512 scale) {
+    const __m512 z = _mm512_mul_ps(_mm512_mul_ps(x, scale), _mm512_set1_ps(kInputScale));
+    const __mmask16 ordered = _mm512_cmp_ps_mask(z, z, _CMP_ORD_Q);
+    const __m512 r = _mm512_min_ps(_mm512_max_ps(z, _mm512_set1_ps(kInputMin)),
+                                   _mm512_set1_ps(kInputMax));
+    return _mm512_maskz_cvt_roundps_epi32(ordered, r,
+                                          _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+}
+
+__attribute__((target("avx512f"))) static void quantize_input_avx512(const float* src,
+                                                                    std::size_t count,
+                                                                    float scale,
+                                                                    std::int8_t* dst) {
+    const __m512 sv = _mm512_set1_ps(scale);
+    std::size_t i = 0;
+    for (; i + 16 <= count; i += 16) {
+        const __m512i r = quantize_lanes_avx512(_mm512_loadu_ps(src + i), sv);
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), _mm512_cvtepi32_epi8(r));
+    }
+    if (i < count) {
+        const auto tail = static_cast<__mmask16>((1u << (count - i)) - 1u);
+        _mm512_mask_cvtepi32_storeu_epi8(
+            dst + i, tail, quantize_lanes_avx512(_mm512_maskz_loadu_ps(tail, src + i), sv));
+    }
+}
+
 static DotI8Fn pick_dot() {
     if (__builtin_cpu_supports("avx512bw")) return dot_i8_avx512;
     if (__builtin_cpu_supports("avx2")) return dot_i8_avx2;
@@ -436,6 +505,11 @@ static RoundShiftFn pick_round_shift() {
                                              : round_shift_i32_scalar;
 }
 static MixFn pick_mix() { return avx512_dq_ok() ? mix_i32_avx512 : mix_i32_scalar; }
+static QuantizeInputFn pick_quantize() {
+    if (__builtin_cpu_supports("avx512f")) return quantize_input_avx512;
+    if (__builtin_cpu_supports("avx2")) return quantize_input_avx2;
+    return quantize_input_scalar;
+}
 static const char* pick_name() {
     if (__builtin_cpu_supports("avx512bw")) return "avx512bw";
     if (__builtin_cpu_supports("avx2")) return "avx2";
@@ -449,6 +523,7 @@ const PwlExpBatchFn pwl_exp_batch = pick_pwl_batch();
 const NormProbsFn normalize_probs = pick_norm();
 const RoundShiftFn round_shift_i32 = pick_round_shift();
 const MixFn mix_i32 = pick_mix();
+const QuantizeInputFn quantize_input = pick_quantize();
 const char* isa_name() { return pick_name(); }
 
 #else  // !SALO_X86_DISPATCH
@@ -460,6 +535,7 @@ const PwlExpBatchFn pwl_exp_batch = nullptr;
 const NormProbsFn normalize_probs = normalize_probs_scalar;
 const RoundShiftFn round_shift_i32 = round_shift_i32_scalar;
 const MixFn mix_i32 = mix_i32_scalar;
+const QuantizeInputFn quantize_input = quantize_input_scalar;
 const char* isa_name() { return "scalar"; }
 
 #endif

@@ -12,12 +12,16 @@
 // registers while streaming the row's K vectors; wacc_sp_i8 holds the
 // output accumulator in registers while streaming the row's V vectors.
 //
+// The one float kernel is the quantizer at the accelerator boundary
+// (quantize_input); it rounds exactly as the scalar InputFx conversion.
+//
 // Kernels are dispatched at load time to the widest ISA the host CPU
 // supports (AVX-512BW > AVX2 > unrolled scalar) via GCC/Clang target
 // attributes — no special compile flags needed, and the binary stays
 // runnable on any x86-64. Non-x86 builds get the unrolled scalar kernels.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "numeric/datapath.hpp"
@@ -75,6 +79,15 @@ using RoundShiftFn = void (*)(std::int32_t* v, int count, int shift);
 using MixFn = void (*)(std::int32_t* out, const std::int32_t* in, std::uint32_t a,
                        std::uint32_t b, int d);
 
+/// The accelerator's input quantizer: dst[i] = InputFx::from_float(src[i] *
+/// scale).raw() for i in [0, count) — a float multiply, then round to
+/// nearest even, saturate to [-128, 127], NaN -> 0. Exact in every lane:
+/// the Q.4 scaling by 16 is a power of two, so rounding the float product
+/// equals rounding its double widening (an overflow to inf saturates
+/// either way).
+using QuantizeInputFn = void (*)(const float* src, std::size_t count, float scale,
+                                 std::int8_t* dst);
+
 /// Dispatched entry points (resolved once, before main()).
 extern const DotI8Fn dot_i8;
 extern const RowDotFn dot_i8_rows;
@@ -83,6 +96,7 @@ extern const PwlExpBatchFn pwl_exp_batch;  ///< nullptr when no SIMD support
 extern const NormProbsFn normalize_probs;
 extern const RoundShiftFn round_shift_i32;
 extern const MixFn mix_i32;
+extern const QuantizeInputFn quantize_input;
 
 /// Portable unrolled-scalar implementations (always available; used as the
 /// dispatch fallback and by tests to pin down bit-identity).
@@ -96,6 +110,8 @@ void normalize_probs_scalar(const ExpRaw* exps, int count, InvRaw inv,
 void round_shift_i32_scalar(std::int32_t* v, int count, int shift);
 void mix_i32_scalar(std::int32_t* out, const std::int32_t* in, std::uint32_t a,
                     std::uint32_t b, int d);
+void quantize_input_scalar(const float* src, std::size_t count, float scale,
+                           std::int8_t* dst);
 
 /// Name of the ISA level the dispatcher selected ("avx512bw", "avx2",
 /// "scalar"); surfaced by bench_throughput's JSON output.

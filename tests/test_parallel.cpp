@@ -48,8 +48,10 @@ void expect_identical(const LayerResult& a, const LayerResult& b, const char* wh
 
 // -------------------------------------------------------------------------
 // Determinism: identical outputs AND identical SimStats for any thread
-// count, at both fidelity levels. n and w are chosen so the plan has many
-// tiles (the tile-parallel path) and a global token (cross-shard queries).
+// count, at both fidelity levels. Multi-head layers take the head path
+// (lanes claim whole heads); single-head runs take the tile-parallel path,
+// where n and w give the plan many tiles and a global token (cross-shard
+// queries).
 // -------------------------------------------------------------------------
 
 TEST(ParallelEngine, FunctionalDeterministicAcrossThreadCounts) {
@@ -76,6 +78,44 @@ TEST(ParallelEngine, CycleAccurateDeterministicAcrossThreadCounts) {
             SaloEngine(config_with_threads(threads, Fidelity::kCycleAccurate))
                 .run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
         expect_identical(base, par, "cycle-accurate");
+    }
+}
+
+TEST(ParallelEngine, HeadPathDeterministicWithUnevenHeadsPerLane) {
+    // Fewer heads than lanes (3 on 4 or 8) and heads % lanes != 0 (5 on 4).
+    for (Fidelity fidelity : {Fidelity::kFunctional, Fidelity::kCycleAccurate}) {
+        for (int heads : {3, 5}) {
+            const auto workload = longformer_small(64, 8, heads, 8, 1);
+            const auto qkv = make_qkv(workload, 17 + static_cast<std::uint64_t>(heads));
+            const auto base = SaloEngine(config_with_threads(1, fidelity))
+                                  .run(workload.pattern, qkv.q, qkv.k, qkv.v,
+                                       workload.scale());
+            for (int threads : {4, 8}) {
+                const auto par = SaloEngine(config_with_threads(threads, fidelity))
+                                     .run(workload.pattern, qkv.q, qkv.k, qkv.v,
+                                          workload.scale());
+                SCOPED_TRACE(testing::Message() << heads << " heads, " << threads
+                                                << " threads");
+                expect_identical(base, par, fidelity == Fidelity::kFunctional
+                                                ? "functional head path"
+                                                : "cycle-accurate head path");
+            }
+        }
+    }
+}
+
+TEST(ParallelEngine, SingleHeadCycleAccurateTileParallelMatchesOneThread) {
+    // One head leaves only its tiles to split: per-lane part vectors, the
+    // sharded replay merge, accounting in schedule order.
+    const auto workload = longformer_small(128, 16, 1, 8, 1);
+    const auto qkv = make_qkv(workload, 9);
+    const auto base = SaloEngine(config_with_threads(1, Fidelity::kCycleAccurate))
+                          .run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
+    ASSERT_GE(base.stats.tiles, 16);  // more tiles than the widest pool
+    for (int threads : {2, 8}) {
+        const auto par = SaloEngine(config_with_threads(threads, Fidelity::kCycleAccurate))
+                             .run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
+        expect_identical(base, par, "cycle-accurate single head");
     }
 }
 
@@ -284,6 +324,45 @@ TEST(Kernels, RoundShiftAndMixMatchScalar) {
     kernels::mix_i32(o1.data(), in.data(), 20000, 12768, 64);
     kernels::mix_i32_scalar(o2.data(), in.data(), 20000, 12768, 64);
     EXPECT_EQ(o1, o2);
+}
+
+TEST(Kernels, DispatchedQuantizerMatchesInputFx) {
+    const float inf = std::numeric_limits<float>::infinity();
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    const float tiny = std::numeric_limits<float>::min() / 4.0f;  // subnormal
+    std::vector<float> values = {std::numeric_limits<float>::quiet_NaN(),
+                                 inf, -inf, 1e30f, -1e30f, -0.0f, 0.0f, denorm, -denorm,
+                                 tiny, -tiny,
+                                 // exact half-steps of the Q.4 grid (ties to even)
+                                 0.03125f, -0.03125f, 0.09375f, -0.09375f, 0.15625f,
+                                 // exact half-steps after scaling by 0.125
+                                 0.25f, -0.25f, 0.75f, 1.25f, -1.25f,
+                                 // saturation edges
+                                 127.5f / 16.0f, -128.5f / 16.0f, 127.4f / 16.0f,
+                                 -128.4f / 16.0f, 8.0f, -8.0f, 64.0f, -64.0f};
+    Rng rng(4);
+    for (int i = 0; i < 23; ++i) values.push_back(static_cast<float>(rng.normal(0.0, 4.0)));
+    const float scales[] = {1.0f, 0.125f};
+    std::vector<float> src;
+    std::vector<std::int8_t> got;
+    for (float scale : scales) {
+        for (std::size_t len = 1; len <= 40; ++len) {
+            // Every rotation, so each special value lands in the SIMD body
+            // and in the tail at every length.
+            for (std::size_t rot = 0; rot < values.size(); ++rot) {
+                src.resize(len);
+                for (std::size_t i = 0; i < len; ++i)
+                    src[i] = values[(rot + i) % values.size()];
+                got.assign(len + 1, 99);  // the guard byte must survive
+                kernels::quantize_input(src.data(), len, scale, got.data());
+                for (std::size_t i = 0; i < len; ++i)
+                    ASSERT_EQ(got[i], InputFx::from_float(src[i] * scale).raw())
+                        << "x=" << src[i] << " scale=" << scale << " len=" << len
+                        << " i=" << i;
+                ASSERT_EQ(got[len], 99) << "wrote past len=" << len;
+            }
+        }
+    }
 }
 
 // -------------------------------------------------------------------------

@@ -412,6 +412,78 @@ TEST(Robustness, StalledRequestResolvesAtItsDeadlineNotTheStall) {
 }
 
 // -------------------------------------------------------------------------
+// Robustness hooks on the engine's head path: a multi-head run on several
+// threads spreads whole heads over the pool lanes, and a hook that fires in
+// one head fails the run from the calling thread, typed, while the engine
+// stays serviceable and bit-identical for the next run.
+// -------------------------------------------------------------------------
+
+struct HeadPathRun {
+    AttentionWorkload w = longformer_small(64, 8, 4, 16, 1);
+    QkvSet qkv = make_qkv(w, 21);
+    SaloEngine engine{serving_config(4)};
+    CompiledPlanPtr plan = engine.compile(w.pattern, w.head_dim);
+    LayerResult reference = SaloEngine(serving_config(1)).run(*plan, qkv.q, qkv.k, qkv.v,
+                                                              w.scale());
+
+    LayerResult run(const RunOptions& options) const {
+        return engine.run(*plan, qkv.q, qkv.k, qkv.v, w.scale(), options);
+    }
+
+    void expect_next_run_bit_identical() const {
+        const LayerResult next = run(RunOptions{});
+        ASSERT_EQ(next.output.count(), reference.output.count());
+        for (int h = 0; h < next.output.count(); ++h)
+            EXPECT_EQ(next.output[h], reference.output[h]) << "head " << h;
+        EXPECT_EQ(next.stats.cycles, reference.stats.cycles);
+        EXPECT_EQ(next.stats.tiles, reference.stats.tiles);
+        EXPECT_EQ(next.stats.activity.mac_ops, reference.stats.activity.mac_ops);
+        EXPECT_EQ(next.stats.activity.pe_cycles, reference.stats.activity.pe_cycles);
+    }
+};
+
+TEST(EngineHeadPath, OneFaultedTileFailsTheRunAndSiblingHeadsFinish) {
+    const HeadPathRun r;
+    const int tiles = static_cast<int>(r.plan->plan().tiles.size());
+    ASSERT_GE(tiles, 4);
+    // The injector sees per-head schedule-order tile indices, not head
+    // ids: tile 2 faults in whichever head reaches it first (lanes racing
+    // the cap may fault one more). Each faulted head stops at tile 2; the
+    // other heads run every tile.
+    const int fault_tile = 2;
+    FaultInjector::Config c;
+    c.fault_tiles = {fault_tile};
+    c.max_faults = 1;
+    const FaultInjector injector(c);
+    RunOptions options;
+    options.fault_injector = &injector;
+    EXPECT_THROW(r.run(options), EngineFault);
+    const std::uint64_t faulted = injector.faults_injected();
+    ASSERT_GE(faulted, 1u);
+    EXPECT_EQ(injector.tiles_seen(),
+              static_cast<std::uint64_t>(r.w.heads * tiles) -
+                  faulted * static_cast<std::uint64_t>(tiles - 1 - fault_tile));
+    r.expect_next_run_bit_identical();
+}
+
+TEST(EngineHeadPath, PreCancelledTokenThrowsRequestCancelled) {
+    const HeadPathRun r;
+    RunOptions options;
+    options.cancel = CancellationToken::make();
+    options.cancel.request_cancel();
+    EXPECT_THROW(r.run(options), RequestCancelled);
+    r.expect_next_run_bit_identical();
+}
+
+TEST(EngineHeadPath, PastDeadlineThrowsDeadlineExceeded) {
+    const HeadPathRun r;
+    RunOptions options;
+    options.deadline = Clock::now() - milliseconds(1);
+    EXPECT_THROW(r.run(options), DeadlineExceeded);
+    r.expect_next_run_bit_identical();
+}
+
+// -------------------------------------------------------------------------
 // The extended conservation law on the sharded tier: per-attempt retry
 // counters live outside the law, and every outcome class still sums to
 // submitted under a mixed fault/cancel/deadline/reject stream.

@@ -3,11 +3,11 @@
 
 Every BENCH_*.json must (a) parse as JSON and (b) carry an integer
 schema_version, so downstream tooling (and CI trend jobs) can rely on the
-files without per-bench special cases. BENCH_decode.json additionally
-must report tokens/s at all of 1/64/4096 concurrent streams with every
-level bit-identical (the decode-tier contract), and must name the host it
-was measured on (kernel ISA, hardware threads, CPU model). Run from
-anywhere:
+files without per-bench special cases. BENCH_decode.json and
+BENCH_throughput.json must also name the host they were measured on
+(kernel ISA, hardware threads, CPU model), and BENCH_decode.json must
+report tokens/s at all of 1/64/4096 concurrent streams with every level
+bit-identical (the decode-tier contract). Run from anywhere:
 
     python3 tools/check_bench_json.py [repo_root]
 
@@ -34,15 +34,15 @@ def check(path: str) -> list:
         problems.append(f"schema_version missing or not an integer: {version!r}")
     if not doc.get("bench"):
         problems.append("missing 'bench' name")
+    if doc.get("bench") in ("decode", "throughput"):
+        problems.extend(check_host(doc))
     if doc.get("bench") == "decode":
         problems.extend(check_decode(doc))
     return problems
 
 
-def check_decode(doc: dict) -> list:
-    """The decode snapshot's contract: the host identity, the full
-    1/64/4096-stream sweep, positive tokens/s at every level, and
-    bit-identity everywhere."""
+def check_host(doc: dict) -> list:
+    """The host identity a snapshot's numbers are only comparable within."""
     problems = []
     for key in ("kernel_isa", "cpu_model"):
         value = doc.get(key)
@@ -51,6 +51,13 @@ def check_decode(doc: dict) -> list:
     threads = doc.get("hardware_threads")
     if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         problems.append(f"'hardware_threads' missing or not a positive integer: {threads!r}")
+    return problems
+
+
+def check_decode(doc: dict) -> list:
+    """The decode snapshot's contract: the full 1/64/4096-stream sweep,
+    positive tokens/s at every level, and bit-identity everywhere."""
+    problems = []
     levels = doc.get("levels")
     if not isinstance(levels, list):
         return ["'levels' missing or not a list"]

@@ -72,6 +72,7 @@
 #include <vector>
 
 #include "core/salo.hpp"
+#include "host.hpp"
 #include "sim/kernels.hpp"
 #include "workload/workloads.hpp"
 
@@ -1006,6 +1007,7 @@ int main(int argc, char** argv) {
            << "  \"fidelity\": \"functional\",\n"
            << "  \"kernel_isa\": \"" << kernels::isa_name() << "\",\n"
            << "  \"hardware_threads\": " << default_num_threads() << ",\n"
+           << "  \"cpu_model\": \"" << salo::bench::cpu_model() << "\",\n"
            << "  \"sequential_ms\": " << sequential_ms << ",\n"
            << "  \"session_ms\": " << session_ms << ",\n"
            << "  \"throughput_rps\": " << throughput << ",\n"

@@ -43,16 +43,13 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -60,7 +57,7 @@
 #include "core/admission.hpp"
 #include "core/engine.hpp"
 #include "core/health.hpp"
-#include "core/session.hpp"  // SessionStats / TenantStats
+#include "core/serving_core.hpp"
 
 namespace salo {
 
@@ -124,9 +121,10 @@ public:
     /// Blocking under a full queue follows the admission policy.
     std::future<StepResult> step(StreamId stream, StepRequest request);
 
-    /// Block until the stream's submitted steps have resolved, then drop
-    /// its state. Idempotent per id (a second call throws — the id is
-    /// gone). Streams not closed explicitly are dropped by close().
+    /// Block until the stream's queued steps have resolved, then drop its
+    /// state; a step still waiting for admission fails StreamEvicted when
+    /// it wakes. A second call throws (the id is gone). Streams not closed
+    /// explicitly are dropped by close().
     void close_stream(StreamId stream);
 
     /// Block until every submitted step has resolved.
@@ -134,7 +132,7 @@ public:
 
     /// Stop accepting work, serve what is queued, join the dispatcher.
     /// Idempotent; the destructor calls it.
-    void close();
+    void close() { core_.close(); }
 
     /// steps == submitted here by construction; evicted_streams counts
     /// streams lost to quarantine or failed steps. plan_cache aggregates
@@ -143,31 +141,22 @@ public:
 
     /// Per-tenant slice; each tenant obeys the conservation law and
     /// steps == submitted.
-    std::map<std::string, TenantStats> tenant_stats() const;
+    std::map<std::string, TenantStats> tenant_stats() const { return core_.tenant_stats(); }
 
-    std::vector<ShardHealthSnapshot> shard_health() const;
+    std::vector<ShardHealthSnapshot> shard_health() const {
+        return tier_.health.snapshot(ServingCore::Clock::now());
+    }
 
-    int num_shards() const { return static_cast<int>(shards_.size()); }
+    int num_shards() const { return static_cast<int>(tier_.shards.size()); }
     /// The shard a live stream is pinned to (tests/benches).
     int stream_shard(StreamId stream) const;
-    const SaloEngine& shard_engine(int shard) const {
-        return shards_[static_cast<std::size_t>(shard)]->engine;
-    }
-    const SaloConfig& config() const { return shards_.front()->engine.config(); }
+    const SaloEngine& shard_engine(int shard) const { return tier_[shard].engine; }
+    const SaloConfig& config() const { return tier_[0].engine.config(); }
 
 private:
-    using Clock = std::chrono::steady_clock;
+    using Clock = ServingCore::Clock;
 
-    struct Shard {
-        explicit Shard(const SaloConfig& config) : engine(config) {}
-        SaloEngine engine;
-    };
-
-    struct PendingStep {
-        StepRequest request;
-        std::promise<StepResult> promise;
-        std::uint64_t cost = 0;  ///< admission cost units (= heads)
-    };
+    using PendingStep = Queued<StepRequest, StepResult>;  ///< cost = heads
 
     struct Stream {
         HybridPattern pattern;  ///< full-horizon pattern (max length n)
@@ -197,52 +186,26 @@ private:
         PendingStep step;
     };
 
-    /// How one executed step resolved.
-    enum class Outcome { ok, failed, cancelled, timed_out, shed_expired };
-
     void serve_loop();
+    /// Execute a batch; outcome[i] is batch[i]'s.
+    void run_batch(std::vector<ExecItem>& batch, std::vector<Outcome>& outcome);
     Outcome execute(ExecItem& item, int thread_budget);
     /// Mark the stream evicted and fail everything still queued on it.
-    /// Caller holds m_.
+    /// Caller holds core_.m.
     void evict_locked(Stream& stream, const std::string& reason);
-    void account_locked(const std::string& tenant, Outcome outcome);
     int pick_shard(StreamId id, Clock::time_point now);
-    AdmissionSnapshot snapshot_locked() const;
 
     DecodeSessionOptions options_;
-    std::shared_ptr<PlanCache> shared_store_;  ///< before shards_ (they attach)
-    std::vector<std::unique_ptr<Shard>> shards_;
-    mutable HealthSupervisor health_;
+    ShardTier<EngineShard> tier_;
     AdmissionController admission_;
 
-    mutable std::mutex m_;
-    std::condition_variable cv_work_;   ///< ready streams / closing
-    std::condition_variable cv_space_;  ///< admission state changed
-    std::condition_variable cv_idle_;   ///< a batch finished
-    std::unordered_map<StreamId, std::unique_ptr<Stream>> streams_;
+    // Guarded by core_.m.
+    std::unordered_map<StreamId, std::shared_ptr<Stream>> streams_;
     std::deque<StreamId> ready_;  ///< streams with a dispatchable front step
     std::uint64_t next_stream_id_ = 1;
     std::size_t queued_steps_ = 0;
     std::uint64_t queued_cost_ = 0;
-    std::uint64_t in_flight_cost_ = 0;
-    std::size_t in_flight_ = 0;
-    std::size_t waiting_submits_ = 0;  ///< see SaloSession::close()
-    bool closed_ = false;
-
-    std::uint64_t submitted_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t failed_ = 0;
-    std::uint64_t rejected_ = 0;
-    std::uint64_t timed_out_ = 0;
-    std::uint64_t cancelled_ = 0;
-    std::uint64_t shed_expired_ = 0;
-    std::uint64_t batches_ = 0;
-    std::size_t max_batch_seen_ = 0;
-    std::uint64_t steps_ = 0;  ///< == submitted_ (every submission is a step)
-    std::uint64_t evicted_streams_ = 0;
-    std::map<std::string, TenantStats> tenant_stats_;
-
-    std::thread dispatcher_;  ///< last member: joined by close()
+    ServingCore core_;  ///< last: its dispatcher uses the members above
 };
 
 }  // namespace salo

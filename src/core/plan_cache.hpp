@@ -88,6 +88,21 @@ struct PlanCacheStats {
         const std::uint64_t total = hits + misses;
         return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
     }
+
+    /// Field-wise sum (a tier of caches).
+    PlanCacheStats& operator+=(const PlanCacheStats& o) {
+        hits += o.hits;
+        misses += o.misses;
+        compiles += o.compiles;
+        step_derives += o.step_derives;
+        step_relabels += o.step_relabels;
+        step_plan_bytes += o.step_plan_bytes;
+        shared_resolved += o.shared_resolved;
+        evictions += o.evictions;
+        size += o.size;
+        capacity += o.capacity;
+        return *this;
+    }
 };
 
 /// Bytes of warm-up micro-plans (positions below T0) one step family

@@ -43,18 +43,17 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "core/admission.hpp"
 #include "core/engine.hpp"
+#include "core/serving_core.hpp"
 
 namespace salo {
 
@@ -96,6 +95,13 @@ struct AttentionRequest {
     std::shared_ptr<const FaultInjector> fault_injector;
 };
 
+/// Admission cost units of a request: heads x rows. Execution time scales
+/// with the scheduled tiles, which scale with heads x rows for a pattern
+/// family, so a few huge requests cannot hide behind a small queue depth.
+inline std::uint64_t request_cost(const AttentionRequest& r) {
+    return static_cast<std::uint64_t>(r.q.count()) * static_cast<std::uint64_t>(r.q.rows());
+}
+
 /// Convenience builders for the two request flavours.
 AttentionRequest make_request(CompiledPlanPtr plan, Tensor3<float> q, Tensor3<float> k,
                               Tensor3<float> v, float scale);
@@ -103,77 +109,12 @@ AttentionRequest make_request(HybridPattern pattern, Tensor3<float> q, Tensor3<f
                               Tensor3<float> v, float scale);
 
 struct SessionOptions {
-    /// Legacy bound: maximum queued (not yet dispatched) requests with the
-    /// block-forever policy. Ignored when `admission.max_queue` is set.
-    /// 0 = unbounded.
-    std::size_t max_queue = 0;
     /// Maximum requests dispatched as one batch. 0 = drain everything
     /// queued (latency-oriented streams may prefer a small bound).
     std::size_t max_batch = 0;
     /// Admission control policy (depth/cost/per-class limits and what to
-    /// do when they are hit). Default: unbounded, block mode — exactly the
-    /// legacy behavior.
+    /// do when they are hit). Default: unbounded, block mode.
     AdmissionPolicy admission;
-};
-
-struct SessionStats {
-    std::uint64_t submitted = 0;  ///< accepted submit() calls (everything below)
-    std::uint64_t completed = 0;  ///< futures fulfilled with a result
-    std::uint64_t failed = 0;     ///< futures failed with EngineFault/ContractViolation
-    std::uint64_t rejected = 0;   ///< futures failed with QueueFull (admission shed)
-    std::uint64_t timed_out = 0;  ///< futures failed with DeadlineExceeded
-    std::uint64_t cancelled = 0;  ///< futures failed with RequestCancelled
-    /// Of timed_out: requests shed while queued, before any execution (the
-    /// remainder expired at a tile boundary mid-flight).
-    std::uint64_t shed_expired = 0;
-    std::uint64_t batches = 0;    ///< dispatcher wake-ups that served work
-    std::size_t max_batch = 0;    ///< largest batch observed
-    PlanCacheStats plan_cache;    ///< the engine cache serving this session
-
-    // Sharded-tier counters (core/shard_router.hpp); always 0 on a plain
-    // single-engine SaloSession. retried/failed_over count *attempts* (one
-    // request retried twice contributes 2) and live outside the
-    // conservation law by construction.
-    std::uint64_t retried = 0;      ///< re-dispatches after a retryable shard failure
-    std::uint64_t failed_over = 0;  ///< of retried: attempts routed to a different shard
-    std::uint64_t quarantined_shard_events = 0;   ///< breaker healthy -> quarantined
-    std::uint64_t reintegrated_shard_events = 0;  ///< breaker probing -> healthy
-
-    // Decode-tier counters (core/decode_session.hpp); always 0 on the
-    // whole-sequence sessions. `steps` counts accepted stream steps, so the
-    // conservation law distinguishes incremental decode traffic (where
-    // every submission is a step: steps == submitted) from whole-sequence
-    // requests (steps == 0).
-    std::uint64_t steps = 0;            ///< accepted decode stream steps
-    std::uint64_t evicted_streams = 0;  ///< streams lost to quarantine/failed steps
-
-    /// Every accepted submit() resolves exactly one way; this is the
-    /// conservation law tests assert.
-    std::uint64_t accounted() const {
-        return completed + failed + rejected + timed_out + cancelled;
-    }
-};
-
-/// Per-tenant slice of the serving counters (core/shard_router.hpp:
-/// ShardedSession::tenant_stats()). Obeys the same conservation law as
-/// SessionStats; summing every tenant's counters reproduces the global
-/// stats for the fields below.
-struct TenantStats {
-    std::uint64_t submitted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t rejected = 0;   ///< shed against this tenant's own quota or the global one
-    std::uint64_t timed_out = 0;
-    std::uint64_t cancelled = 0;
-    std::uint64_t retried = 0;    ///< extra attempts billed to this tenant's deficit
-    std::uint64_t failed_over = 0;
-    /// Of submitted: decode stream steps (core/decode_session.hpp). 0 for
-    /// whole-sequence traffic; == submitted on a pure decode tier.
-    std::uint64_t steps = 0;
-
-    std::uint64_t accounted() const {
-        return completed + failed + rejected + timed_out + cancelled;
-    }
 };
 
 class SaloSession {
@@ -206,67 +147,28 @@ public:
 
     /// Stop accepting requests, serve what is queued, join the dispatcher.
     /// Idempotent; the destructor calls it.
-    void close();
+    void close() { core_.close(); }
 
     SessionStats stats() const;
     const SaloEngine& engine() const { return engine_; }
     const SaloConfig& config() const { return engine_.config(); }
 
 private:
-    using Clock = std::chrono::steady_clock;
-
-    struct Pending {
-        AttentionRequest request;
-        std::promise<LayerResult> promise;
-        std::uint64_t cost = 0;  ///< admission cost units (heads x rows)
-    };
-
-    /// Per-batch outcome tallies, merged into the counters by serve_loop.
-    struct BatchTally {
-        std::uint64_t ok = 0;
-        std::uint64_t failed = 0;
-        std::uint64_t cancelled = 0;
-        std::uint64_t timed_out = 0;
-    };
+    using Pending = Queued<AttentionRequest, LayerResult>;
 
     void serve_loop();
-    void serve_batch(std::vector<Pending>& batch, BatchTally& tally);
-    AdmissionSnapshot snapshot_locked() const;
+    /// Run a batch; outcome[i] is batch[i]'s.
+    void serve_batch(std::vector<Pending>& batch, std::vector<Outcome>& outcome);
 
     SaloEngine engine_;
     SessionOptions options_;
     AdmissionController admission_;
 
-    mutable std::mutex m_;
-    std::condition_variable cv_work_;   ///< queue became non-empty / closing
-    std::condition_variable cv_space_;  ///< admission state changed
-    std::condition_variable cv_idle_;   ///< queue empty and nothing in flight
+    // Guarded by core_.m.
     std::deque<Pending> queue_interactive_;
     std::deque<Pending> queue_batch_;
     std::uint64_t queued_cost_ = 0;
-    std::uint64_t in_flight_cost_ = 0;
-    std::size_t in_flight_ = 0;
-    /// Submitters parked in an admission wait (counted in submitted_ but
-    /// not yet resolved); close() skips the conservation debug-assert
-    /// while any exist, since their accounting is legitimately in flight.
-    std::size_t waiting_submits_ = 0;
-    bool closed_ = false;
-
-    std::uint64_t submitted_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t failed_ = 0;
-    std::uint64_t rejected_ = 0;
-    std::uint64_t timed_out_ = 0;
-    std::uint64_t cancelled_ = 0;
-    std::uint64_t shed_expired_ = 0;
-    std::uint64_t batches_ = 0;
-    std::size_t max_batch_seen_ = 0;
-    /// Decode steps served by this session: always 0 (SaloSession has no
-    /// step path); reported through stats() and asserted at close() so the
-    /// conservation law separates steps from whole-sequence requests.
-    std::uint64_t stats_steps_ = 0;
-
-    std::thread dispatcher_;  ///< last member: joined by close()
+    ServingCore core_;  ///< last: its dispatcher uses the members above
 };
 
 }  // namespace salo

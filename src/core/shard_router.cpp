@@ -10,15 +10,13 @@ namespace salo {
 
 namespace {
 
-/// Same admission cost proxy as SaloSession: heads x rows.
-std::uint64_t request_cost(const AttentionRequest& r) {
-    return static_cast<std::uint64_t>(r.q.count()) *
-           static_cast<std::uint64_t>(r.q.rows());
-}
-
-template <typename Error>
-void fail_promise(std::promise<LayerResult>& promise, Error error) {
-    promise.set_exception(std::make_exception_ptr(std::move(error)));
+/// The message of a classified engine error.
+std::string error_message(const std::exception_ptr& error) {
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+        return e.what();
+    }
 }
 
 /// task_queues_ index for a priority class.
@@ -28,43 +26,20 @@ std::size_t band_index(Priority p) { return p == Priority::interactive ? 0 : 1; 
 
 ShardedSession::ShardedSession(const SaloConfig& config, ShardedSessionOptions options)
     : options_(std::move(options)),
-      health_(std::max(options_.num_shards, 1), options_.health),
+      tier_(config, options_.num_shards, options_.shard_fault_injectors,
+            options_.shared_plan_store, options_.health),
       sched_(options_.fairness) {
-    SALO_EXPECTS(options_.num_shards >= 1);
     SALO_EXPECTS(options_.retry.max_attempts >= 1);
-    if (options_.shared_plan_store)
-        shared_store_ = std::make_shared<PlanCache>(
-            static_cast<std::size_t>(std::max(1, config.plan_cache_capacity)));
-    shards_.reserve(static_cast<std::size_t>(options_.num_shards));
-    for (int i = 0; i < options_.num_shards; ++i) {
-        SaloConfig shard_config = config;
-        const auto idx = static_cast<std::size_t>(i);
-        if (idx < options_.shard_fault_injectors.size() &&
-            options_.shard_fault_injectors[idx] != nullptr)
-            shard_config.fault_injector = options_.shard_fault_injectors[idx];
-        shard_config.shared_plan_store = shared_store_;
-        shards_.push_back(std::make_unique<Shard>(shard_config));
-    }
-    const int workers =
-        options_.router_workers > 0 ? options_.router_workers : 2 * options_.num_shards;
-    workers_.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w)
-        workers_.emplace_back([this] { worker_main(); });
+    core_.start(options_.router_workers > 0 ? options_.router_workers
+                                            : 2 * options_.num_shards,
+                [this] { worker_main(); });
 }
 
 ShardedSession::~ShardedSession() { close(); }
 
 CompiledPlanPtr ShardedSession::compile(const HybridPattern& pattern,
                                         int head_dim) const {
-    return shards_.front()->engine.compile(pattern, head_dim);
-}
-
-AdmissionSnapshot ShardedSession::snapshot_locked() const {
-    AdmissionSnapshot s;
-    s.queued_interactive = sched_.queued(Priority::interactive);
-    s.queued_batch = sched_.queued(Priority::batch);
-    s.outstanding_cost = sched_.queued_cost() + in_flight_cost_;
-    return s;
+    return tier_[0].engine.compile(pattern, head_dim);
 }
 
 std::future<LayerResult> ShardedSession::submit(AttentionRequest request) {
@@ -91,110 +66,61 @@ std::future<LayerResult> ShardedSession::submit(AttentionRequest request) {
     const std::string tenant = task.request.tenant_id;
 
     {
-        std::unique_lock<std::mutex> lock(m_);
-        if (closed_)
-            throw SessionClosed(
-                "ShardedSession: submit() after close() — the tier is closed and no "
-                "longer accepts requests");
-        ++submitted_;
-        ++tenant_stats_[tenant].submitted;
+        std::unique_lock<std::mutex> lock(core_.m);
+        core_.throw_if_closed(
+            "ShardedSession: submit() after close() — the tier is closed and no longer "
+            "accepts requests");
+        core_.ledger.submit(tenant);
         task.id = next_task_id_++;
 
         // Combined admission: the global scaled policy (degradation-aware:
         // limits shrink with the healthy-shard fraction) AND the tenant's
         // own quota, strictest outcome wins. A flooding tenant trips its
         // quota while everyone else's admission never sees it.
-        struct Combined {
-            AdmissionDecision decision;
-            bool tenant_limited;
-            int healthy;
-        };
-        auto decide_combined = [&]() -> Combined {
-            const int healthy = health_.healthy_count(Clock::now());
-            const AdmissionController global(scaled_policy(
-                options_.admission, healthy, static_cast<int>(shards_.size())));
-            const AdmissionDecision g =
-                global.decide(snapshot_locked(), priority, task.cost);
+        bool tenant_limited = false;
+        int healthy = 0;
+        auto decide = [&] {
+            healthy = tier_.health.healthy_count(Clock::now());
+            const AdmissionController global(
+                scaled_policy(options_.admission, healthy, num_shards()));
+            const AdmissionDecision g = global.decide(
+                {sched_.queued(Priority::interactive), sched_.queued(Priority::batch),
+                 sched_.queued_cost() + core_.in_flight.cost},
+                priority, task.cost);
             const AdmissionDecision t = sched_.decide(tenant, priority, task.cost);
+            tenant_limited = t == AdmissionDecision::reject ||
+                             (t == AdmissionDecision::wait && g == AdmissionDecision::admit);
             if (g == AdmissionDecision::reject || t == AdmissionDecision::reject)
-                return {AdmissionDecision::reject, t == AdmissionDecision::reject,
-                        healthy};
+                return AdmissionDecision::reject;
             if (g == AdmissionDecision::wait || t == AdmissionDecision::wait)
-                return {AdmissionDecision::wait,
-                        t == AdmissionDecision::wait && g == AdmissionDecision::admit,
-                        healthy};
-            return {AdmissionDecision::admit, false, healthy};
+                return AdmissionDecision::wait;
+            return AdmissionDecision::admit;
         };
-
         // The wait bound, when any applicable policy is block_with_timeout:
         // the tighter of the timeouts that can put this request to sleep.
-        const AdmissionPolicy& tenant_policy = sched_.quota(tenant).admission;
-        bool timed_wait = options_.admission.mode == AdmissionMode::block_with_timeout;
-        std::chrono::milliseconds wait_budget = options_.admission.block_timeout;
-        if (tenant_policy.mode == AdmissionMode::block_with_timeout) {
-            wait_budget = timed_wait
-                              ? std::min(wait_budget, tenant_policy.block_timeout)
-                              : tenant_policy.block_timeout;
-            timed_wait = true;
-        }
-        const Clock::time_point admission_deadline = Clock::now() + wait_budget;
+        std::optional<Clock::duration> budget = wait_budget(options_.admission);
+        if (const auto t = wait_budget(sched_.quota(tenant).admission))
+            budget = budget ? std::min(*budget, *t) : t;
 
-        for (;;) {
-            if (closed_) {
-                ++rejected_;
-                ++tenant_stats_[tenant].rejected;
-                fail_promise(task.promise,
-                             SessionClosed("ShardedSession: tier closed while the "
-                                           "request waited for admission"));
-                return future;
-            }
-            if (task.request.deadline && Clock::now() > *task.request.deadline) {
-                ++timed_out_;
-                ++shed_expired_;
-                ++tenant_stats_[tenant].timed_out;
-                fail_promise(task.promise,
-                             DeadlineExceeded("request deadline expired while waiting "
-                                              "for admission"));
-                return future;
-            }
-            const Combined combined = decide_combined();
-            if (combined.decision == AdmissionDecision::admit) break;
-            if (combined.decision == AdmissionDecision::reject) {
-                ++rejected_;
-                ++tenant_stats_[tenant].rejected;
-                fail_promise(
-                    task.promise,
-                    combined.tenant_limited
-                        ? QueueFull(std::string("tenant quota rejected ") +
-                                    priority_name(priority) +
-                                    "-class request for tenant '" + tenant + "'")
-                        : QueueFull(std::string("tier admission rejected ") +
-                                    priority_name(priority) + "-class request (" +
-                                    std::to_string(combined.healthy) + "/" +
-                                    std::to_string(shards_.size()) +
-                                    " shards healthy)"));
-                return future;
-            }
-            if (timed_wait) {
-                ++waiting_submits_;
-                const std::cv_status wait_status =
-                    cv_space_.wait_until(lock, admission_deadline);
-                --waiting_submits_;
-                if (wait_status == std::cv_status::timeout) {
-                    if (decide_combined().decision == AdmissionDecision::admit) break;
-                    ++rejected_;
-                    ++tenant_stats_[tenant].rejected;
-                    fail_promise(task.promise,
-                                 QueueFull(std::string("tier admission wait timed out "
-                                                       "for ") +
-                                           priority_name(priority) + "-class request"));
-                    return future;
-                }
-            } else {
-                ++waiting_submits_;
-                cv_space_.wait(lock);
-                --waiting_submits_;
-            }
+        const Admission admission =
+            core_.admit(lock, decide, budget, task.request.deadline);
+        if (admission != Admission::admitted) {
+            const std::string cls = priority_name(priority);
+            core_.refuse(
+                task.promise, tenant, admission,
+                "ShardedSession: tier closed while the request waited for admission",
+                "request deadline expired while waiting for admission", [&](bool timed_out) {
+                    if (timed_out)
+                        return QueueFull("tier admission wait timed out for " + cls +
+                                         "-class request");
+                    if (tenant_limited)
+                        return QueueFull("tenant quota rejected " + cls +
+                                         "-class request for tenant '" + tenant + "'");
+                    return QueueFull("tier admission rejected " + cls + "-class request (" +
+                                     std::to_string(healthy) + "/" +
+                                     std::to_string(num_shards()) + " shards healthy)");
+                });
+            return future;
         }
 
         // Lockstep commit: the scheduler books the cost, the task deque
@@ -202,7 +128,7 @@ std::future<LayerResult> ShardedSession::submit(AttentionRequest request) {
         sched_.push(tenant, priority, task.cost);
         task_queues_[tenant][band_index(priority)].push_back(std::move(task));
     }
-    cv_work_.notify_one();
+    core_.cv_work.notify_one();
     return future;
 }
 
@@ -220,15 +146,11 @@ std::future<LayerResult> ShardedSession::submit(const HybridPattern& pattern,
 }
 
 void ShardedSession::worker_main() {
-    for (;;) {
-        Task task;
-        {
-            std::unique_lock<std::mutex> lock(m_);
-            cv_work_.wait(lock, [this] { return closed_ || !sched_.empty(); });
-            if (sched_.empty()) {
-                if (closed_) return;
-                continue;
-            }
+    std::optional<Task> task;
+    Outcome outcome = Outcome::completed;
+    core_.serve(
+        [this] { return !sched_.empty(); },
+        [&] {
             // The DWRR pick names a (tenant, class); the matching Task is
             // the front of that queue by the lockstep-commit invariant.
             const std::optional<FairScheduler::Pick> pick = sched_.pop();
@@ -237,58 +159,27 @@ void ShardedSession::worker_main() {
             SALO_ASSERT(queues_it != task_queues_.end());
             std::deque<Task>& q = queues_it->second[band_index(pick->priority)];
             SALO_ASSERT(!q.empty() && q.front().cost == pick->cost);
-            task = std::move(q.front());
+            task.emplace(std::move(q.front()));
             q.pop_front();
             if (queues_it->second[0].empty() && queues_it->second[1].empty())
                 task_queues_.erase(queues_it);
-            in_flight_cost_ += task.cost;
-            ++in_flight_;
-        }
-        cv_space_.notify_all();
-        serve_task(task);
-        {
-            std::lock_guard<std::mutex> lock(m_);
-            in_flight_cost_ -= task.cost;
-            --in_flight_;
-            sched_.release(task.request.tenant_id, task.cost);
-        }
-        cv_space_.notify_all();
-        cv_idle_.notify_all();
-    }
-}
-
-void ShardedSession::finish(const std::string& tenant, Resolution resolution,
-                            bool shed_expired) {
-    std::lock_guard<std::mutex> lock(m_);
-    TenantStats& t = tenant_stats_[tenant];
-    switch (resolution) {
-        case Resolution::completed:
-            ++completed_;
-            ++t.completed;
-            break;
-        case Resolution::failed:
-            ++failed_;
-            ++t.failed;
-            break;
-        case Resolution::timed_out:
-            ++timed_out_;
-            ++t.timed_out;
-            if (shed_expired) ++shed_expired_;
-            break;
-        case Resolution::cancelled:
-            ++cancelled_;
-            ++t.cancelled;
-            break;
-    }
+            return ServingCore::Load{1, task->cost};
+        },
+        [&] { outcome = serve_task(*task); },
+        [&] {
+            core_.ledger.resolve(task->request.tenant_id, outcome);
+            sched_.release(task->request.tenant_id, task->cost);
+            task.reset();
+        });
 }
 
 int ShardedSession::pick_shard(const Task& task, Clock::time_point now) {
     for (;;) {
-        std::vector<int> candidates = health_.acquirable(now);
+        std::vector<int> candidates = tier_.health.acquirable(now);
         if (candidates.empty()) {
             // Every breaker refused: degrade to a forced probe of the shard
             // whose cooldown expires soonest rather than failing the tier.
-            return health_.force_acquire_soonest(now);
+            return tier_.health.force_acquire_soonest(now);
         }
         // A retry prefers any shard other than the one that just failed it.
         if (task.last_shard >= 0 && candidates.size() > 1)
@@ -302,8 +193,7 @@ int ShardedSession::pick_shard(const Task& task, Clock::time_point now) {
                 std::uint64_t best = ~0ull;
                 for (int s : candidates) {
                     const std::uint64_t cost =
-                        shards_[static_cast<std::size_t>(s)]->outstanding_cost.load(
-                            std::memory_order_relaxed);
+                        tier_[s].outstanding_cost.load(std::memory_order_relaxed);
                     if (cost < best) {
                         best = cost;
                         chosen = s;
@@ -314,19 +204,7 @@ int ShardedSession::pick_shard(const Task& task, Clock::time_point now) {
             case RoutingPolicy::consistent_hash: {
                 // Rendezvous hashing: stable per fingerprint while the
                 // candidate set shrinks/grows with shard health.
-                std::uint64_t best = 0;
-                bool first = true;
-                for (int s : candidates) {
-                    Fnv1a h;
-                    h.mix(task.fingerprint);
-                    h.mix(s);
-                    const std::uint64_t weight = h.digest();
-                    if (first || weight > best) {
-                        best = weight;
-                        chosen = s;
-                        first = false;
-                    }
-                }
+                chosen = rendezvous_pick(candidates, task.fingerprint);
                 break;
             }
             case RoutingPolicy::round_robin: {
@@ -337,7 +215,7 @@ int ShardedSession::pick_shard(const Task& task, Clock::time_point now) {
                 break;
             }
         }
-        if (health_.try_acquire(chosen, now)) return chosen;
+        if (tier_.health.try_acquire(chosen, now)) return chosen;
         // Lost a race with a quarantine or a probe slot; re-evaluate.
     }
 }
@@ -375,117 +253,79 @@ ShardedSession::WaitOutcome ShardedSession::backoff_wait(
     }
 }
 
-void ShardedSession::serve_task(Task& task) {
+Outcome ShardedSession::serve_task(Task& task) {
     const std::string& tenant = task.request.tenant_id;
     // Shed without touching any shard, mirroring SaloSession's dispatcher.
-    if (task.request.cancel.cancelled()) {
-        fail_promise(task.promise, RequestCancelled("request cancelled while queued; "
-                                                    "shed before dispatch"));
-        finish(tenant, Resolution::cancelled);
-        return;
-    }
-    if (task.request.deadline && Clock::now() > *task.request.deadline) {
-        fail_promise(task.promise, DeadlineExceeded("request deadline expired while "
-                                                    "queued; shed before dispatch"));
-        finish(tenant, Resolution::timed_out, /*shed_expired=*/true);
-        return;
-    }
+    if (const auto shed = shed_queued(
+            task.promise, task.request.cancel, task.request.deadline, Clock::now(),
+            "request cancelled while queued; shed before dispatch",
+            "request deadline expired while queued; shed before dispatch"))
+        return *shed;
 
-    std::string last_fault;
     for (;;) {
         ++task.attempts;
         const Clock::time_point attempt_start = Clock::now();
         const int shard_index = pick_shard(task, attempt_start);
         if (task.attempts > 1 && shard_index != task.last_shard) {
-            failed_over_.fetch_add(1, std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lock(m_);
-            ++tenant_stats_[tenant].failed_over;
+            std::lock_guard<std::mutex> lock(core_.m);
+            core_.ledger.failed_over(tenant);
         }
-        Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
+        Shard& shard = tier_[shard_index];
         shard.outstanding_cost.fetch_add(task.cost, std::memory_order_relaxed);
         const int active_here = shard.active.fetch_add(1, std::memory_order_relaxed) + 1;
 
-        RunOptions run_options;
-        run_options.fidelity = task.request.fidelity;
         // Alone on the shard: use its whole pool (tile parallelism). Sharing
         // it: sequential lanes, like SaloSession's busy-server path. Either
         // way the result is bit-identical (engine guarantee).
-        run_options.thread_budget = active_here == 1 ? 0 : 1;
-        run_options.cancel = task.request.cancel;
-        std::optional<Clock::time_point> attempt_deadline = task.request.deadline;
+        RunOptions options = run_options(task.request, active_here == 1 ? 0 : 1);
         if (options_.stall_timeout.count() > 0) {
             const Clock::time_point stall_bound = attempt_start + options_.stall_timeout;
-            attempt_deadline = attempt_deadline ? std::min(*attempt_deadline, stall_bound)
+            options.deadline = options.deadline ? std::min(*options.deadline, stall_bound)
                                                 : stall_bound;
         }
-        run_options.deadline = attempt_deadline;
-        run_options.fault_injector = task.request.fault_injector.get();
 
-        auto release = [&](CircuitBreaker::Outcome outcome) {
-            shard.outstanding_cost.fetch_sub(task.cost, std::memory_order_relaxed);
-            shard.active.fetch_sub(1, std::memory_order_relaxed);
-            health_.record(shard_index, outcome, Clock::now());
-        };
-
-        try {
+        LayerResult result;
+        Classified c = guarded("engine worker threw", [&] {
             const CompiledPlanPtr plan =
                 task.request.plan != nullptr
                     ? task.request.plan
                     : shard.engine.compile(*task.request.pattern, task.request.q.cols());
-            LayerResult result =
-                shard.engine.run(*plan, task.request.q, task.request.k, task.request.v,
-                                 task.request.scale, run_options);
-            release(CircuitBreaker::Outcome::success);
+            result = shard.engine.run(*plan, task.request.q, task.request.k, task.request.v,
+                                      task.request.scale, options);
+        });
+        // A deadline that is not the request's own is the stall bound: the
+        // shard wedged. Charge its breaker and retry the work elsewhere;
+        // the request's own deadline is terminal (retrying could only
+        // exceed it further).
+        const bool stalled =
+            c.outcome == Outcome::timed_out &&
+            !(task.request.deadline && Clock::now() >= *task.request.deadline);
+        if (stalled) c.breaker = CircuitBreaker::Outcome::failure;
+        shard.outstanding_cost.fetch_sub(task.cost, std::memory_order_relaxed);
+        shard.active.fetch_sub(1, std::memory_order_relaxed);
+        tier_.health.record(shard_index, c.breaker, Clock::now());
+        if (c.outcome == Outcome::completed) {
             task.promise.set_value(std::move(result));
-            finish(tenant, Resolution::completed);
-            return;
-        } catch (const RequestCancelled&) {
-            release(CircuitBreaker::Outcome::neutral);
-            task.promise.set_exception(std::current_exception());
-            finish(tenant, Resolution::cancelled);
-            return;
-        } catch (const DeadlineExceeded&) {
-            const bool request_expired =
-                task.request.deadline && Clock::now() >= *task.request.deadline;
-            if (request_expired) {
-                // The request's own deadline: terminal, and retrying could
-                // only exceed it further.
-                release(CircuitBreaker::Outcome::neutral);
-                task.promise.set_exception(std::current_exception());
-                finish(tenant, Resolution::timed_out);
-                return;
-            }
-            // The stall bound, not the deadline: the shard wedged. Charge
-            // its breaker and retry the work elsewhere.
-            release(CircuitBreaker::Outcome::failure);
-            last_fault = "shard " + std::to_string(shard_index) +
-                         " stalled past the attempt bound";
-        } catch (const ContractViolation&) {
-            // Caller bug: deterministic on every shard, never retried.
-            release(CircuitBreaker::Outcome::neutral);
-            task.promise.set_exception(std::current_exception());
-            finish(tenant, Resolution::failed);
-            return;
-        } catch (const SaloError& e) {
-            release(CircuitBreaker::Outcome::failure);
-            last_fault = e.what();
-        } catch (const std::exception& e) {
-            release(CircuitBreaker::Outcome::failure);
-            last_fault = std::string("engine worker threw: ") + e.what();
-        } catch (...) {
-            release(CircuitBreaker::Outcome::failure);
-            last_fault = "engine worker threw a non-std exception";
+            return Outcome::completed;
+        }
+        // Cancellation, the request's deadline and caller bugs
+        // (deterministic on every shard) are never retried.
+        if (c.breaker != CircuitBreaker::Outcome::failure) {
+            task.promise.set_exception(c.error);
+            return c.outcome;
         }
 
         // Retryable failure (EngineFault or a shard stall).
+        const std::string last_fault =
+            stalled ? "shard " + std::to_string(shard_index) + " stalled past the attempt bound"
+                    : error_message(c.error);
         task.last_shard = shard_index;
         if (task.attempts >= options_.retry.max_attempts) {
             fail_promise(task.promise,
                          EngineFault("retry budget exhausted after " +
                                      std::to_string(task.attempts) +
                                      " attempts; last failure: " + last_fault));
-            finish(tenant, Resolution::failed);
-            return;
+            return Outcome::failed;
         }
 
         switch (backoff_wait(backoff_for(task), task.request.cancel,
@@ -494,117 +334,40 @@ void ShardedSession::serve_task(Task& task) {
                 fail_promise(task.promise,
                              RequestCancelled("request cancelled during retry backoff; "
                                               "not retried"));
-                finish(tenant, Resolution::cancelled);
-                return;
+                return Outcome::cancelled;
             case WaitOutcome::deadline:
                 fail_promise(task.promise,
                              DeadlineExceeded("request deadline expired during retry "
                                               "backoff; not retried"));
-                finish(tenant, Resolution::timed_out);
-                return;
+                return Outcome::timed_out;
             case WaitOutcome::elapsed:
                 break;
         }
-        retried_.fetch_add(1, std::memory_order_relaxed);
         {
             // Fairness survives retries: the extra attempt is billed to the
             // tenant's DWRR deficit (the request itself stays with this
             // worker — it never re-enters a queue or jumps any line).
-            std::lock_guard<std::mutex> lock(m_);
-            ++tenant_stats_[tenant].retried;
+            std::lock_guard<std::mutex> lock(core_.m);
+            core_.ledger.retried(tenant);
             sched_.charge(tenant, task.cost);
         }
     }
 }
 
 void ShardedSession::drain() {
-    std::unique_lock<std::mutex> lock(m_);
-    cv_idle_.wait(lock, [this] { return sched_.empty() && in_flight_ == 0; });
-}
-
-void ShardedSession::close() {
-    std::vector<std::thread> to_join;
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        closed_ = true;
-        to_join = std::move(workers_);
-        workers_.clear();
-    }
-    cv_work_.notify_all();
-    cv_space_.notify_all();
-    const bool joined = !to_join.empty();
-    for (std::thread& t : to_join)
-        if (t.joinable()) t.join();
-#ifndef NDEBUG
-    if (joined) {
-        // Conservation law at the source, per tenant and globally (see
-        // SaloSession::close() for the waiting-submitter caveat).
-        std::lock_guard<std::mutex> lock(m_);
-        if (waiting_submits_ == 0) {
-            SALO_DEBUG_ASSERT(completed_ + failed_ + rejected_ + timed_out_ +
-                                  cancelled_ ==
-                              submitted_);
-            std::uint64_t tenant_submitted = 0;
-            std::uint64_t tenant_accounted = 0;
-            for (const auto& [name, t] : tenant_stats_) {
-                (void)name;
-                SALO_DEBUG_ASSERT(t.accounted() == t.submitted);
-                tenant_submitted += t.submitted;
-                tenant_accounted += t.accounted();
-            }
-            SALO_DEBUG_ASSERT(tenant_submitted == submitted_);
-            SALO_DEBUG_ASSERT(tenant_accounted ==
-                              completed_ + failed_ + rejected_ + timed_out_ +
-                                  cancelled_);
-        }
-    }
-#else
-    (void)joined;
-#endif
+    core_.drain([this] { return sched_.empty() && core_.in_flight.count == 0; });
 }
 
 SessionStats ShardedSession::stats() const {
-    SessionStats s;
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        s.submitted = submitted_;
-        s.completed = completed_;
-        s.failed = failed_;
-        s.rejected = rejected_;
-        s.timed_out = timed_out_;
-        s.cancelled = cancelled_;
-        s.shed_expired = shed_expired_;
-    }
-    s.retried = retried_.load(std::memory_order_relaxed);
-    s.failed_over = failed_over_.load(std::memory_order_relaxed);
-    s.quarantined_shard_events = health_.quarantined_events_total();
-    s.reintegrated_shard_events = health_.reintegrated_events_total();
-    for (const auto& shard : shards_) {
-        const PlanCacheStats pc = shard->engine.plan_cache_stats();
-        s.plan_cache.hits += pc.hits;
-        s.plan_cache.misses += pc.misses;
-        s.plan_cache.compiles += pc.compiles;
-        s.plan_cache.shared_resolved += pc.shared_resolved;
-        s.plan_cache.evictions += pc.evictions;
-        s.plan_cache.size += pc.size;
-        s.plan_cache.capacity += pc.capacity;
-    }
+    SessionStats s = core_.stats();
+    tier_.add_stats(s);
     return s;
-}
-
-std::map<std::string, TenantStats> ShardedSession::tenant_stats() const {
-    std::lock_guard<std::mutex> lock(m_);
-    return tenant_stats_;
 }
 
 std::optional<TenantQueueSnapshot> ShardedSession::tenant_queue(
     const std::string& tenant) const {
-    std::lock_guard<std::mutex> lock(m_);
+    std::lock_guard<std::mutex> lock(core_.m);
     return sched_.tenant_snapshot(tenant);
-}
-
-std::vector<ShardHealthSnapshot> ShardedSession::shard_health() const {
-    return health_.snapshot(Clock::now());
 }
 
 }  // namespace salo

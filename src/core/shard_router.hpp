@@ -53,21 +53,19 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "core/fair_queue.hpp"
 #include "core/health.hpp"
+#include "core/serving_core.hpp"
 #include "core/session.hpp"
 
 namespace salo {
@@ -159,7 +157,7 @@ public:
 
     /// Stop accepting, serve everything queued, join the router workers.
     /// Idempotent; the destructor calls it.
-    void close();
+    void close() { core_.close(); }
 
     /// Tier-wide stats. plan_cache aggregates over shards; retried /
     /// failed_over / quarantined_shard_events / reintegrated_shard_events
@@ -170,100 +168,67 @@ public:
     /// the scheduler reclaims an idle tenant's queue state; summing any
     /// field over tenants reproduces the global stats() value, and each
     /// tenant satisfies the conservation law independently.
-    std::map<std::string, TenantStats> tenant_stats() const;
+    std::map<std::string, TenantStats> tenant_stats() const { return core_.tenant_stats(); }
 
     /// Live scheduler view of one tenant (nullopt once reclaimed).
     std::optional<TenantQueueSnapshot> tenant_queue(const std::string& tenant) const;
 
     /// The shared compile tier (null unless options.shared_plan_store).
     /// Its stats().compiles is the tier-wide scheduler-pass count.
-    std::shared_ptr<PlanCache> shared_plan_store() const { return shared_store_; }
+    std::shared_ptr<PlanCache> shared_plan_store() const { return tier_.store; }
 
     /// Per-shard breaker states and counters.
-    std::vector<ShardHealthSnapshot> shard_health() const;
-
-    int num_shards() const { return static_cast<int>(shards_.size()); }
-    const SaloEngine& shard_engine(int shard) const {
-        return shards_[static_cast<std::size_t>(shard)]->engine;
+    std::vector<ShardHealthSnapshot> shard_health() const {
+        return tier_.health.snapshot(ServingCore::Clock::now());
     }
-    const SaloConfig& config() const { return shards_.front()->engine.config(); }
+
+    int num_shards() const { return static_cast<int>(tier_.shards.size()); }
+    const SaloEngine& shard_engine(int shard) const { return tier_[shard].engine; }
+    const SaloConfig& config() const { return tier_[0].engine.config(); }
 
 private:
-    using Clock = std::chrono::steady_clock;
+    using Clock = ServingCore::Clock;
 
-    struct Shard {
-        explicit Shard(const SaloConfig& config) : engine(config) {}
-        SaloEngine engine;
+    struct Shard : EngineShard {
+        using EngineShard::EngineShard;
         std::atomic<std::uint64_t> outstanding_cost{0};
         std::atomic<int> active{0};
     };
 
-    struct Task {
-        AttentionRequest request;
-        std::promise<LayerResult> promise;
-        std::uint64_t cost = 0;
+    struct Task : Queued<AttentionRequest, LayerResult> {
         std::uint64_t id = 0;         ///< submission order; jitter input
         std::uint64_t fingerprint = 0;  ///< routing key (consistent_hash)
         int attempts = 0;
         int last_shard = -1;
     };
 
-    /// How one request finally resolved (exactly one per task).
-    enum class Resolution { completed, failed, timed_out, cancelled };
-
     enum class WaitOutcome { elapsed, cancelled, deadline };
 
     void worker_main();
-    void serve_task(Task& task);
-    void finish(const std::string& tenant, Resolution resolution,
-                bool shed_expired = false);
+    /// Serve one task to its end (retries included); fulfils its promise
+    /// and returns how it resolved.
+    Outcome serve_task(Task& task);
     int pick_shard(const Task& task, Clock::time_point now);
     Clock::duration backoff_for(const Task& task) const;
     /// Poll-sleep for `d`, aborting the moment the token fires or the
     /// deadline passes — the no-retry-after-cancel guarantee lives here.
     WaitOutcome backoff_wait(Clock::duration d, const CancellationToken& cancel,
                              const std::optional<Clock::time_point>& deadline) const;
-    AdmissionSnapshot snapshot_locked() const;
 
     ShardedSessionOptions options_;
-    std::shared_ptr<PlanCache> shared_store_;  ///< before shards_ (they attach to it)
-    std::vector<std::unique_ptr<Shard>> shards_;
-    mutable HealthSupervisor health_;
+    ShardTier<Shard> tier_;
 
-    mutable std::mutex m_;
-    std::condition_variable cv_work_;
-    std::condition_variable cv_space_;
-    std::condition_variable cv_idle_;
+    // Guarded by core_.m.
     /// DWRR arbiter over per-tenant queues; holds only costs. The actual
     /// Task objects live in task_queues_, pushed and popped in lockstep
     /// with the scheduler (same tenant, same class, FIFO), so the
     /// scheduler's pick always names the front task of that queue.
     FairScheduler sched_;
     std::unordered_map<std::string, std::array<std::deque<Task>, 2>> task_queues_;
-    std::uint64_t in_flight_cost_ = 0;
-    std::size_t in_flight_ = 0;
-    /// Submitters parked in an admission wait (counted in submitted_ but
-    /// not yet resolved); close() skips the conservation debug-assert
-    /// while any exist (see SaloSession::close()).
-    std::size_t waiting_submits_ = 0;
-    bool closed_ = false;
-
-    std::map<std::string, TenantStats> tenant_stats_;
-
-    std::uint64_t submitted_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t failed_ = 0;
-    std::uint64_t rejected_ = 0;
-    std::uint64_t timed_out_ = 0;
-    std::uint64_t cancelled_ = 0;
-    std::uint64_t shed_expired_ = 0;
     std::uint64_t next_task_id_ = 0;
 
-    std::atomic<std::uint64_t> retried_{0};
-    std::atomic<std::uint64_t> failed_over_{0};
     std::atomic<std::uint64_t> round_robin_{0};
-
-    std::vector<std::thread> workers_;  ///< last member: joined by close()
+    ServingCore core_;  ///< last: its router workers use the members above
 };
 
 }  // namespace salo

@@ -8,6 +8,7 @@
 #include <future>
 #include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "attention/streaming.hpp"
@@ -1254,6 +1255,53 @@ TEST(DecodeSession, SequentialStreamsOfOneShapeShareTheWarmUp) {
                   static_cast<std::uint64_t>(sp.start + sp.period));
         EXPECT_EQ(st.plan_cache.size, 0u);  // no decode plan in any LRU
     }
+}
+
+TEST(DecodeSession, CloseStreamWhileAStepIsParkedFailsThatStepAsEvicted) {
+    // A step parked in admission holds on to its stream: close_stream()
+    // returns at once (nothing of the stream is queued yet), and the
+    // parked step, once space opens, is withdrawn as StreamEvicted instead
+    // of reading the dropped stream.
+    SaloConfig config;
+    config.geometry.rows = 8;
+    config.geometry.cols = 8;
+    config.num_threads = 1;
+    DecodeSessionOptions options;
+    options.admission.max_queue = 1;  // block mode: over the limit, step() waits
+    DecodeSession session(config, options);
+    const HybridPattern pattern(64, {Band{-7, 8, 1, 0}}, {});
+    auto req = [] {
+        StepRequest r;
+        r.q_row = r.k_row = r.v_row = Matrix<float>(1, 16, 0.5f);
+        return r;
+    };
+    const StreamId a = session.open_stream(pattern, 1, 16, 0.25f);
+    const StreamId b = session.open_stream(pattern, 1, 16, 0.25f);
+    const StreamId c = session.open_stream(pattern, 1, 16, 0.25f);
+
+    FaultInjector::Config fc;
+    fc.stall_tiles = {0};
+    fc.stall_for = std::chrono::milliseconds(300);
+    const auto stall = std::make_shared<FaultInjector>(fc);
+    StepRequest wedge = req();
+    wedge.fault_injector = stall;
+    auto fa = session.step(a, std::move(wedge));
+    for (int i = 0; i < 2000 && stall->stalls_injected() == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_GT(stall->stalls_injected(), 0u);
+    auto fb = session.step(b, req());  // fills the one queue slot
+    auto parked = std::async(std::launch::async, [&] { return session.step(c, req()); });
+    ASSERT_EQ(parked.wait_for(std::chrono::milliseconds(50)), std::future_status::timeout);
+
+    session.close_stream(c);
+    EXPECT_THROW(parked.get().get(), StreamEvicted);
+    EXPECT_NO_THROW(fa.get());
+    EXPECT_NO_THROW(fb.get());
+    session.close();
+    const SessionStats st = session.stats();
+    EXPECT_EQ(st.completed, 2u);
+    EXPECT_EQ(st.failed, 1u);
+    EXPECT_EQ(st.accounted(), st.submitted);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -578,13 +579,12 @@ TEST(Robustness, ShardedTierConservationUnderMixedOutcomes) {
     EXPECT_GE(s.failed_over, 1u);
 }
 
-TEST(Robustness, LegacyMaxQueueStillBlocksUntilSpace) {
-    // The legacy SessionOptions::max_queue bound folds into the admission
-    // policy as depth-only block mode: submits past the bound wait and are
-    // eventually served, never rejected.
+TEST(Robustness, MaxQueueStillBlocksUntilSpace) {
+    // A depth-only bound in the default block mode: submits past the bound
+    // wait and are eventually served, never rejected.
     const Work work;
     SessionOptions options;
-    options.max_queue = 1;
+    options.admission.max_queue = 1;
     SaloSession session(serving_config(1), options);
     std::vector<std::future<LayerResult>> futures;
     for (int i = 0; i < 6; ++i) futures.push_back(session.submit(work.request()));
@@ -594,6 +594,198 @@ TEST(Robustness, LegacyMaxQueueStillBlocksUntilSpace) {
     EXPECT_EQ(s.completed, 6u);
     EXPECT_EQ(s.rejected, 0u);
     expect_conserved(s);
+}
+
+// -------------------------------------------------------------------------
+// The one admission gate, driven through all three front doors: a submitter
+// parked in block mode behind a wedged engine is released by close() or by
+// its own deadline — never only once the wedge clears.
+// -------------------------------------------------------------------------
+
+/// One front door behind a type-erased submit. `stream` picks the decode
+/// stream (0..2); the whole-sequence doors ignore it. The returned call
+/// waits for the outcome and rethrows its error.
+class Door {
+public:
+    virtual ~Door() = default;
+    virtual std::function<void()> submit(int stream, std::shared_ptr<const FaultInjector> fault,
+                                         CancellationToken cancel,
+                                         std::optional<Clock::time_point> deadline) = 0;
+    virtual void close() = 0;
+    virtual SessionStats stats() const = 0;
+};
+
+template <typename Session>
+class RequestDoor : public Door {
+public:
+    template <typename Options>
+    explicit RequestDoor(Options options) : session_(serving_config(1), std::move(options)) {}
+
+    std::function<void()> submit(int, std::shared_ptr<const FaultInjector> fault,
+                                 CancellationToken cancel,
+                                 std::optional<Clock::time_point> deadline) override {
+        AttentionRequest r = work_.request();
+        r.fault_injector = std::move(fault);
+        r.cancel = cancel;
+        r.deadline = deadline;
+        auto f = std::make_shared<std::future<LayerResult>>(session_.submit(std::move(r)));
+        return [f] { f->get(); };
+    }
+    void close() override { session_.close(); }
+    SessionStats stats() const override { return session_.stats(); }
+
+private:
+    Work work_;
+    Session session_;
+};
+
+class StepDoor : public Door {
+public:
+    explicit StepDoor(DecodeSessionOptions options)
+        : session_(serving_config(1), std::move(options)) {
+        for (int i = 0; i < 3; ++i)
+            streams_.push_back(session_.open_stream(pattern_, 1, 16, 0.25f));
+    }
+
+    std::function<void()> submit(int stream, std::shared_ptr<const FaultInjector> fault,
+                                 CancellationToken cancel,
+                                 std::optional<Clock::time_point> deadline) override {
+        StepRequest r;
+        r.q_row = r.k_row = r.v_row = Matrix<float>(1, 16, 0.5f);
+        r.fault_injector = std::move(fault);
+        r.cancel = cancel;
+        r.deadline = deadline;
+        auto f = std::make_shared<std::future<StepResult>>(
+            session_.step(streams_[static_cast<std::size_t>(stream)], std::move(r)));
+        return [f] { f->get(); };
+    }
+    void close() override { session_.close(); }
+    SessionStats stats() const override { return session_.stats(); }
+
+private:
+    HybridPattern pattern_{64, {Band{-7, 8, 1, 0}}, {}};
+    DecodeSession session_;
+    std::vector<StreamId> streams_;
+};
+
+struct DoorCase {
+    const char* name;
+    bool decode;
+    std::function<std::unique_ptr<Door>(const AdmissionPolicy&)> make;
+};
+
+std::vector<DoorCase> door_cases() {
+    return {
+        {"SaloSession", false,
+         [](const AdmissionPolicy& p) -> std::unique_ptr<Door> {
+             SessionOptions o;
+             o.admission = p;
+             return std::make_unique<RequestDoor<SaloSession>>(o);
+         }},
+        {"ShardedSession", false,
+         [](const AdmissionPolicy& p) -> std::unique_ptr<Door> {
+             ShardedSessionOptions o;
+             o.num_shards = 1;
+             o.router_workers = 1;
+             o.admission = p;
+             return std::make_unique<RequestDoor<ShardedSession>>(o);
+         }},
+        {"DecodeSession", true,
+         [](const AdmissionPolicy& p) -> std::unique_ptr<Door> {
+             DecodeSessionOptions o;
+             o.admission = p;
+             return std::make_unique<StepDoor>(o);
+         }},
+    };
+}
+
+TEST(AdmissionGate, ParkedSubmitterIsReleasedByCloseOrByItsDeadline) {
+    AdmissionPolicy policy;  // block mode: over the limit, a submit waits
+    policy.max_queue = 1;
+    for (const DoorCase& door_case : door_cases()) {
+        for (const bool by_close : {true, false}) {
+            SCOPED_TRACE(std::string(door_case.name) + (by_close ? ", closed while parked"
+                                                                 : ", 20 ms deadline"));
+            const std::unique_ptr<Door> door = door_case.make(policy);
+            // Wedge the only engine lane for 2 s, then fill the one queue slot.
+            auto stall = stall_injector(milliseconds(2000));
+            const CancellationToken unwedge = CancellationToken::make();
+            const auto wedge = door->submit(0, stall, unwedge, std::nullopt);
+            ASSERT_TRUE(eventually([&] { return stall->stalls_injected() > 0; }));
+            const auto queued = door->submit(1, nullptr, {}, std::nullopt);
+
+            const Clock::time_point t0 = Clock::now();
+            std::future<void> closing;
+            if (by_close) {
+                auto submitting = std::async(std::launch::async, [&] {
+                    return door->submit(2, nullptr, {}, std::nullopt);
+                });
+                ASSERT_EQ(submitting.wait_for(milliseconds(50)), std::future_status::timeout)
+                    << "the third submit did not park";
+                closing = std::async(std::launch::async, [&] { door->close(); });
+                EXPECT_THROW(submitting.get()(), SessionClosed);
+            } else {
+                const auto parked = door->submit(2, nullptr, {}, Clock::now() + milliseconds(20));
+                EXPECT_THROW(parked(), DeadlineExceeded);
+            }
+            const auto waited = std::chrono::duration_cast<milliseconds>(Clock::now() - t0);
+            EXPECT_LT(waited.count(), 1000) << "the parked submit waited out the 2 s wedge";
+
+            const SessionStats s = door->stats();
+            EXPECT_EQ(s.rejected, by_close ? 1u : 0u);
+            EXPECT_EQ(s.timed_out, by_close ? 0u : 1u);
+            EXPECT_EQ(s.shed_expired, by_close ? 0u : 1u);
+            // Decode: the parked step's stream is evicted (a skipped
+            // position would break its append log).
+            EXPECT_EQ(s.evicted_streams, door_case.decode ? 1u : 0u);
+            if (door_case.decode && !by_close) {
+                EXPECT_THROW(door->submit(2, nullptr, {}, std::nullopt)(), StreamEvicted);
+            }
+
+            unwedge.request_cancel();
+            EXPECT_THROW(wedge(), RequestCancelled);
+            EXPECT_NO_THROW(queued());
+            if (closing.valid())
+                closing.get();
+            else
+                door->close();
+            const SessionStats end = door->stats();
+            EXPECT_EQ(end.submitted, by_close || !door_case.decode ? 3u : 4u);
+            expect_conserved(end);
+        }
+    }
+}
+
+TEST(OutcomeLedger, TenantsSumToTheGlobalViewAndOverResolvingThrows) {
+    OutcomeLedger ledger;
+    ledger.submit("a");
+    ledger.submit("a");
+    ledger.submit("b", /*step=*/true);
+    ledger.resolve("a", Outcome::completed);
+    ledger.resolve("a", Outcome::shed_expired);
+    ledger.resolve("b", Outcome::failed);
+    const SessionStats s = ledger.stats();
+    EXPECT_EQ(s.submitted, 3u);
+    EXPECT_EQ(s.completed, 1u);
+    EXPECT_EQ(s.timed_out, 1u);
+    EXPECT_EQ(s.shed_expired, 1u);
+    EXPECT_EQ(s.failed, 1u);
+    EXPECT_EQ(s.steps, 1u);
+    expect_conserved(s);
+    const auto tenants = ledger.tenant_stats();
+    EXPECT_EQ(tenants.at("a").timed_out, 1u);
+    EXPECT_EQ(tenants.at("b").steps, 1u);
+
+    // An outcome nobody submitted is an accounting bug: both views name
+    // the tenant, in release builds too.
+    ledger.resolve("c", Outcome::completed);
+    try {
+        (void)ledger.stats();
+        ADD_FAILURE() << "stats() accepted a tenant that resolved more than it submitted";
+    } catch (const ContractViolation& e) {
+        EXPECT_NE(std::string(e.what()).find("'c'"), std::string::npos) << e.what();
+    }
+    EXPECT_THROW((void)ledger.tenant_stats(), ContractViolation);
 }
 
 }  // namespace

@@ -3,11 +3,12 @@
 
 Every BENCH_*.json must (a) parse as JSON and (b) carry an integer
 schema_version, so downstream tooling (and CI trend jobs) can rely on the
-files without per-bench special cases. BENCH_decode.json and
-BENCH_throughput.json must also name the host they were measured on
-(kernel ISA, hardware threads, CPU model), and BENCH_decode.json must
-report tokens/s at all of 1/64/4096 concurrent streams with every level
-bit-identical (the decode-tier contract). Run from anywhere:
+files without per-bench special cases. BENCH_decode.json,
+BENCH_throughput.json and BENCH_serving.json must also name the host they
+were measured on (kernel ISA, hardware threads, CPU model), and
+BENCH_decode.json must report tokens/s at all of 1/64/4096 concurrent
+streams with every level bit-identical (the decode-tier contract). Run
+from anywhere:
 
     python3 tools/check_bench_json.py [repo_root]
 
@@ -34,7 +35,7 @@ def check(path: str) -> list:
         problems.append(f"schema_version missing or not an integer: {version!r}")
     if not doc.get("bench"):
         problems.append("missing 'bench' name")
-    if doc.get("bench") in ("decode", "throughput"):
+    if doc.get("bench") in ("decode", "throughput", "serving"):
         problems.extend(check_host(doc))
     if doc.get("bench") == "decode":
         problems.extend(check_decode(doc))

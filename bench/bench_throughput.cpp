@@ -17,8 +17,9 @@
 // model); wired up as the CMake target `bench_throughput_json`.
 //
 // --sweep is the thread-scaling check of docs/PERFORMANCE.md: the optimized
-// engine at 1, 2, 4 and 8 threads, best of 3 each, with the wall-time
-// speedup over 1 thread (exit code 1 only on a bit-identity mismatch).
+// engine at 1, 2, 4 and 8 threads, best of 3 each, with the process CPU
+// time of that run and the wall-time speedup over 1 thread (exit code 1
+// only on a bit-identity mismatch).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -42,29 +43,39 @@ using salo::QkvSet;
 using salo::SaloConfig;
 using salo::SaloEngine;
 
-/// Wall times of `reps` runs of one engine, sorted ascending.
-std::vector<double> times_ms(const SaloConfig& config, const AttentionWorkload& w,
+/// One run's wall time and the process CPU time (all threads) it took.
+struct Timing {
+    double wall_ms = 0.0;
+    double cpu_ms = 0.0;
+};
+
+/// Timings of `reps` runs of one engine, sorted by ascending wall time.
+std::vector<Timing> times_ms(const SaloConfig& config, const AttentionWorkload& w,
                              const QkvSet& qkv, int reps, LayerResult* out) {
     // One engine for all reps: the persistent pool and its arenas are
     // steady-state across calls, which is exactly what we want to measure.
     const SaloEngine engine(config);
-    std::vector<double> times;
+    std::vector<Timing> times;
     times.reserve(static_cast<std::size_t>(reps));
     for (int i = 0; i < reps; ++i) {
+        const std::clock_t c0 = std::clock();
         const auto t0 = std::chrono::steady_clock::now();
         LayerResult r = engine.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
         const auto t1 = std::chrono::steady_clock::now();
-        times.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+        const std::clock_t c1 = std::clock();
+        times.push_back({std::chrono::duration<double, std::milli>(t1 - t0).count(),
+                         1000.0 * static_cast<double>(c1 - c0) / CLOCKS_PER_SEC});
         if (out) *out = std::move(r);
     }
-    std::sort(times.begin(), times.end());
+    std::sort(times.begin(), times.end(),
+              [](const Timing& a, const Timing& b) { return a.wall_ms < b.wall_ms; });
     return times;
 }
 
 double median_ms(const SaloConfig& config, const AttentionWorkload& w, const QkvSet& qkv,
                  int reps, LayerResult* out) {
-    const std::vector<double> times = times_ms(config, w, qkv, reps, out);
-    return times[times.size() / 2];
+    const std::vector<Timing> times = times_ms(config, w, qkv, reps, out);
+    return times[times.size() / 2].wall_ms;
 }
 
 bool identical(const LayerResult& a, const LayerResult& b) {
@@ -83,7 +94,8 @@ bool identical(const LayerResult& a, const LayerResult& b) {
     return true;
 }
 
-/// --sweep: best of 3 at 1, 2, 4 and 8 threads, speedups over 1 thread.
+/// --sweep: best of 3 at 1, 2, 4 and 8 threads (wall, and the process CPU of
+/// that run), wall-time speedups over 1 thread.
 int run_sweep(const AttentionWorkload& w, const QkvSet& qkv) {
     std::printf("workload: Longformer-4096, %d heads, d=%d (functional fidelity)\n",
                 w.heads, w.head_dim);
@@ -97,15 +109,16 @@ int run_sweep(const AttentionWorkload& w, const QkvSet& qkv) {
         SaloConfig config;
         config.num_threads = threads;
         LayerResult r;
-        const double ms = times_ms(config, w, qkv, 3, &r).front();
+        const Timing best = times_ms(config, w, qkv, 3, &r).front();
+        const double ms = best.wall_ms;
         if (threads == 1) {
             base = std::move(r);
             base_ms = ms;
         } else {
             bit_identical = bit_identical && identical(base, r);
         }
-        std::printf("%d thread%s %9.1f ms   (%.2fx vs 1 thread)\n", threads,
-                    threads == 1 ? " " : "s", ms, base_ms / ms);
+        std::printf("%d thread%s %9.1f ms wall %9.1f ms CPU   (%.2fx vs 1 thread)\n",
+                    threads, threads == 1 ? " " : "s", ms, best.cpu_ms, base_ms / ms);
     }
     std::printf("\nbit-identical outputs + stats across thread counts: %s\n",
                 bit_identical ? "yes" : "NO — BUG");

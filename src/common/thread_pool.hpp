@@ -5,17 +5,16 @@
 // This pool starts its workers once and reuses them for every parallel
 // region. Scheduling is a shared atomic ticket counter — work-stealing in
 // spirit: lanes that finish their items early immediately pull the next
-// unclaimed index, so imbalanced tile costs even out without any static
-// partitioning.
+// unclaimed index, so imbalanced item costs (heads, requests) even out
+// without any static partitioning.
 //
 // Lanes: a pool of size L has L-1 worker threads plus the calling thread,
 // which participates as lane 0 instead of blocking. Task functions receive
-// (index, lane); per-lane scratch (arenas, score buffers) is indexed by the
-// lane id, which is unique among concurrently-running tasks.
+// (index, lane); the lane id is unique among concurrently-running tasks.
 //
 // parallel_for is not reentrant: tasks must not call back into the same
-// pool (the engine never nests — head-level and tile-level parallelism are
-// mutually exclusive per run).
+// pool (each item of an engine region — a head of one run, a request of
+// one batch — runs on a single lane).
 #pragma once
 
 #include <atomic>
@@ -55,9 +54,8 @@ public:
     int lanes() const { return static_cast<int>(workers_.size()) + 1; }
 
     /// Run fn(index, lane) for every index in [0, count); blocks until all
-    /// complete. Indices are claimed dynamically in chunks of `chunk`
-    /// consecutive indices per ticket (larger chunks cut contention on the
-    /// counter when items are tiny); the caller participates as lane 0.
+    /// complete. Indices are claimed dynamically one ticket at a time; the
+    /// caller participates as lane 0.
     ///
     /// Fault isolation: a throwing task never abandons its siblings — every
     /// index still runs, and the first exception is rethrown here after the
@@ -71,8 +69,7 @@ public:
     /// serialized on an internal mutex (SaloEngine is shared-const and its
     /// run() methods may race otherwise). Tasks must not call back into the
     /// same pool — a nested region would self-deadlock.
-    void parallel_for(int count, const std::function<void(int, int)>& fn,
-                      int chunk = 1) {
+    void parallel_for(int count, const std::function<void(int, int)>& fn) {
         if (count <= 0) return;
         if (workers_.empty() || count == 1) {
             // Inline path: same per-index fault isolation as the threaded
@@ -93,7 +90,6 @@ public:
             std::lock_guard<std::mutex> lock(m_);
             job_ = &fn;
             count_ = count;
-            chunk_ = chunk > 1 ? chunk : 1;
             next_.store(0, std::memory_order_relaxed);
             error_ = nullptr;
             active_ = static_cast<int>(workers_.size());
@@ -114,19 +110,15 @@ public:
 private:
     void drain(int lane) {
         const std::function<void(int, int)>* job = job_;
-        const int chunk = chunk_;
-        int begin;
-        while ((begin = next_.fetch_add(chunk, std::memory_order_relaxed)) < count_) {
-            const int end = begin + chunk < count_ ? begin + chunk : count_;
-            for (int i = begin; i < end; ++i) {
-                try {
-                    (*job)(i, lane);
-                } catch (...) {
-                    // Isolate the fault to this index: record the first
-                    // exception for the caller, keep running siblings.
-                    std::lock_guard<std::mutex> lock(m_);
-                    if (!error_) error_ = std::current_exception();
-                }
+        int i;
+        while ((i = next_.fetch_add(1, std::memory_order_relaxed)) < count_) {
+            try {
+                (*job)(i, lane);
+            } catch (...) {
+                // Isolate the fault to this index: record the first
+                // exception for the caller, keep running siblings.
+                std::lock_guard<std::mutex> lock(m_);
+                if (!error_) error_ = std::current_exception();
             }
         }
     }
@@ -152,7 +144,6 @@ private:
     std::condition_variable cv_done_;
     const std::function<void(int, int)>* job_ = nullptr;
     int count_ = 0;
-    int chunk_ = 1;
     std::atomic<int> next_{0};
     int active_ = 0;
     std::uint64_t generation_ = 0;

@@ -15,28 +15,9 @@ namespace salo {
 
 namespace {
 
-/// Min/max query id over a tile's emitted parts, as a [lo, hi) range for
-/// the merge phase's shard-skip test ({0, 0} when the tile emitted none).
-/// `for_each_part` invokes its callback once per part, in any order.
-template <typename ForEachPart>
-QueryShard part_query_bounds(ForEachPart&& for_each_part) {
-    QueryShard bounds{0, 0};
-    bool first = true;
-    for_each_part([&](const TilePart& p) {
-        if (first) {
-            bounds = QueryShard{p.query, p.query + 1};
-            first = false;
-            return;
-        }
-        bounds.lo = std::min(bounds.lo, p.query);
-        bounds.hi = std::max(bounds.hi, p.query + 1);
-    });
-    return bounds;
-}
-
-/// Sequential cycle accounting shared by every execution path, a thin
-/// adapter over the shared TileCostAccountant (sim/tile_costs.hpp — the
-/// same contract the analytic model and the co-simulation kernel replay).
+/// Sequential cycle accounting of the tile loop, a thin adapter over the
+/// shared TileCostAccountant (sim/tile_costs.hpp — the same contract the
+/// analytic model and the co-simulation kernel replay).
 /// Tiles are accounted strictly in schedule order: the double-buffered load
 /// overlap and the inter-tile stage-3 pipelining both depend on the
 /// previous tile.
@@ -62,11 +43,11 @@ private:
     CycleBreakdown last_breakdown_;
 };
 
-/// Buffers of one head's sequential tile loop — a layer head or a decode-
-/// step head — reused by every head and step that runs on the same thread
-/// (a dispatcher, a pool worker, a caller): the arena holds one tile's
-/// parts and stays in cache, and a steady-state step allocates only its
-/// output. The two loops never nest on one thread.
+/// Buffers of the tile loop (run_tiles), reused by every layer head and
+/// decode-step head that runs on the same thread (a dispatcher, a pool
+/// worker, a caller): the arena holds one tile's parts and stays in cache,
+/// and a steady-state step allocates only its output. A thread runs one
+/// head at a time, so the buffers are never shared.
 struct LoopScratch {
     Matrix<std::int8_t> qq;  ///< decode step: the scaled, quantized query row (1 x d)
     PartArena arena;
@@ -152,18 +133,17 @@ HeadResult SaloEngine::run_head_impl(const SchedulePlan& plan,
                                      const HybridPattern& pattern,
                                      const Matrix<float>& q, const Matrix<float>& k,
                                      const Matrix<float>& v, float scale,
-                                     Fidelity fidelity, int threads,
-                                     const RunControl* ctl) const {
+                                     Fidelity fidelity, const RunControl* ctl) const {
     const int n = q.rows();
     const int d = q.cols();
     SALO_EXPECTS(n == pattern.n());
     SALO_EXPECTS(k.rows() == n && v.rows() == n && k.cols() == d && v.cols() == d);
     SALO_EXPECTS(plan.n == n && plan.head_dim == d);
 
+    HeadResult result;
     if (fidelity == Fidelity::kGolden) {
         // No tile loop here: the head boundary (-1) is the only checkpoint.
         if (ctl != nullptr) ctl->check(-1);
-        HeadResult result;
         result.output = golden(pattern, q, k, v, scale);
         return result;
     }
@@ -173,199 +153,60 @@ HeadResult SaloEngine::run_head_impl(const SchedulePlan& plan,
     const Matrix<std::int8_t> qq = quantize_scaled(q, scale);
     const Matrix<std::int8_t> kq = quantize<InputFx>(k);
     const Matrix<std::int8_t> vq = quantize<InputFx>(v);
-
-    // The reference datapath exists only in the sequential loop; honoring
-    // the flag beats silently benchmarking the optimized path as "seed".
-    const bool parallel_ok = !config_.reference_datapath;
-    if (parallel_ok && threads > 1 && static_cast<int>(plan.tiles.size()) > 1)
-        return run_head_parallel(plan, fidelity, qq, kq, vq, ctl);
-    return run_head_sequential(plan, fidelity, qq, kq, vq, ctl);
-}
-
-HeadResult SaloEngine::run_head_sequential(const SchedulePlan& plan, Fidelity fidelity,
-                                           const Matrix<std::int8_t>& qq,
-                                           const Matrix<std::int8_t>& kq,
-                                           const Matrix<std::int8_t>& vq,
-                                           const RunControl* ctl) const {
-    const int n = qq.rows();
-    const int d = qq.cols();
-    const int num_tiles = static_cast<int>(plan.tiles.size());
-    HeadResult result;
     WeightedSumModule wsm(n, d, recip_unit_);
-    const CycleConfig ccfg = config_.cycle_config();
-    TileAccountant accountant(config_, d);
-
-    LoopScratch& scratch = loop_scratch();
-    std::vector<TilePart>& parts = scratch.parts;
-
-    if (fidelity == Fidelity::kFunctional) {
-        const TileExecutor exec(exp_unit_, recip_unit_, qq, kq, vq);
-        if (config_.reference_datapath) {
-            for (int t = 0; t < num_tiles; ++t) {
-                if (ctl != nullptr) ctl->check(t);
-                const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-                parts.clear();
-                exec.run(tile, parts, result.stats.activity);
-                for (const TilePart& p : parts) wsm.merge(p);
-                const CycleBreakdown& b = accountant.account(tile, result.stats);
-                result.stats.activity.pe_cycles +=
-                    static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
-            }
-        } else {
-            PartArena& arena = scratch.arena;
-            for (int t = 0; t < num_tiles; ++t) {
-                if (ctl != nullptr) ctl->check(t);
-                const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-                arena.reset();
-                exec.run(tile, arena, result.stats.activity, scratch.part);
-                for (std::size_t i = 0; i < arena.used(); ++i) wsm.merge(arena.at(i));
-                const CycleBreakdown& b = accountant.account(tile, result.stats);
-                result.stats.activity.pe_cycles +=
-                    static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
-            }
-        }
-    } else {
-        const CycleAccurateArray array(config_.geometry, ccfg, exp_unit_, recip_unit_, qq,
-                                       kq, vq);
-        for (int t = 0; t < num_tiles; ++t) {
-            if (ctl != nullptr) ctl->check(t);
-            const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-            parts.clear();
-            array.run(tile, parts, result.stats.activity);
-            for (const TilePart& p : parts) wsm.merge(p);
-            accountant.account(tile, result.stats);
-        }
-    }
-
+    run_tiles(plan, fidelity, qq, kq, vq, ctl, wsm, result.stats);
     result.output = wsm.finalize();
     return result;
 }
 
-// ---------------------------------------------------------------------------
-// Tile-level parallel execution: tiles of ONE head run concurrently. Only a
-// single-head run takes this path (run_head, 1-head layers); a multi-head
-// layer parallelizes across heads instead (see run()).
-//
-// Phase A  workers claim tiles from the pool's ticket counter and execute
-//          them into per-lane part arenas, recording an (arena, range) span
-//          per tile. No shared mutable state beyond the counter.
-// Phase B  query rows are partitioned into balanced shards; each lane
-//          replays the *full* part stream in schedule order and merges only
-//          the parts of its shard. Per-query merge order is therefore
-//          exactly the sequential order — bit-identical output for any
-//          thread count and any tile->lane assignment.
-// Phase C  cycle accounting runs on the calling thread in schedule order
-//          (the load-overlap model is inherently sequential, but it is
-//          O(tiles), not O(work)).
-// ---------------------------------------------------------------------------
-HeadResult SaloEngine::run_head_parallel(const SchedulePlan& plan, Fidelity fidelity,
-                                         const Matrix<std::int8_t>& qq,
-                                         const Matrix<std::int8_t>& kq,
-                                         const Matrix<std::int8_t>& vq,
-                                         const RunControl* ctl) const {
-    const int n = qq.rows();
-    const int d = qq.cols();
-    const int num_tiles = static_cast<int>(plan.tiles.size());
-    HeadResult result;
-    WeightedSumModule wsm(n, d, recip_unit_);
-    const CycleConfig ccfg = config_.cycle_config();
-    TileAccountant accountant(config_, d);
-    ThreadPool& workers = pool();
-    const int lanes = workers.lanes();
+void SaloEngine::run_tiles(const SchedulePlan& plan, Fidelity fidelity,
+                           const Matrix<std::int8_t>& qq, const Matrix<std::int8_t>& kq,
+                           const Matrix<std::int8_t>& vq, const RunControl* ctl,
+                           WeightedSumModule& wsm, SimStats& stats) const {
+    TileAccountant accountant(config_, qq.cols());
+    LoopScratch& scratch = loop_scratch();
+    std::vector<TilePart>& parts = scratch.parts;
 
-    std::vector<ActivityStats> lane_activity(static_cast<std::size_t>(lanes));
-    std::vector<QueryShard> tile_bounds(static_cast<std::size_t>(num_tiles));
-
-    // Phase B, shared by both fidelities: every shard replays the full tile
-    // list in schedule order — skipping tiles whose part queries fall
-    // outside its range — and merges only its own queries, so per-query
-    // merge order equals the sequential order for any lane count.
-    auto replay_shards = [&](auto&& for_each_part_of_tile) {
-        const std::vector<QueryShard> shards = partition_query_rows(plan, lanes);
-        workers.parallel_for(static_cast<int>(shards.size()), [&](int s, int) {
-            const QueryShard shard = shards[static_cast<std::size_t>(s)];
-            for (int t = 0; t < num_tiles; ++t) {
-                const QueryShard bounds = tile_bounds[static_cast<std::size_t>(t)];
-                if (bounds.hi <= shard.lo || bounds.lo >= shard.hi) continue;
-                for_each_part_of_tile(t, [&](const TilePart& p) {
-                    wsm.merge_shard(p, shard.lo, shard.hi);
-                });
-            }
-        });
+    // `execute` runs one tile and merges its parts. The functional datapath
+    // adds the tile's closed-form PE-cycles; the cycle-accurate array counts
+    // its own.
+    const auto each_tile = [&](bool add_pe_cycles, auto&& execute) {
+        for (std::size_t t = 0; t < plan.tiles.size(); ++t) {
+            if (ctl != nullptr) ctl->check(static_cast<int>(t));
+            const TileTask& tile = plan.tiles[t];
+            execute(tile);
+            const CycleBreakdown& b = accountant.account(tile, stats);
+            if (add_pe_cycles)
+                stats.activity.pe_cycles +=
+                    static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
+        }
     };
 
     if (fidelity == Fidelity::kFunctional) {
         const TileExecutor exec(exp_unit_, recip_unit_, qq, kq, vq);
-        std::vector<PartArena> arenas(static_cast<std::size_t>(lanes));
-        std::vector<PartScratch> scratch(static_cast<std::size_t>(lanes));
-        std::vector<PartSpan> spans(static_cast<std::size_t>(num_tiles));
-
-        // Larger claim chunks cut ticket-counter contention; tiles are small.
-        const int chunk = std::max(1, num_tiles / (lanes * 8));
-        workers.parallel_for(
-            num_tiles,
-            [&](int t, int lane) {
-                // Tile boundary: cancellation/deadline/fault checks. A
-                // throw fails only this run — sibling tiles of the same
-                // region still execute (pool fault isolation), and the
-                // first error is rethrown to this run's caller after the
-                // region completes.
-                if (ctl != nullptr) ctl->check(t);
-                PartArena& arena = arenas[static_cast<std::size_t>(lane)];
-                const auto first = static_cast<std::uint32_t>(arena.used());
-                exec.run(plan.tiles[static_cast<std::size_t>(t)], arena,
-                         lane_activity[static_cast<std::size_t>(lane)],
-                         scratch[static_cast<std::size_t>(lane)]);
-                PartSpan& span = spans[static_cast<std::size_t>(t)];
-                span = PartSpan{lane, first,
-                                static_cast<std::uint32_t>(arena.used() - first)};
-                tile_bounds[static_cast<std::size_t>(t)] =
-                    part_query_bounds([&](auto&& visit) {
-                        for (std::uint32_t i = 0; i < span.count; ++i)
-                            visit(arena.at(first + i));
-                    });
-            },
-            chunk);
-
-        replay_shards([&](int t, auto&& merge) {
-            const PartSpan& span = spans[static_cast<std::size_t>(t)];
-            const PartArena& arena = arenas[static_cast<std::size_t>(span.lane)];
-            for (std::uint32_t i = 0; i < span.count; ++i)
-                merge(arena.at(span.first + i));
-        });
-
-        for (const TileTask& tile : plan.tiles) {
-            const CycleBreakdown& b = accountant.account(tile, result.stats);
-            result.stats.activity.pe_cycles +=
-                static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
+        if (config_.reference_datapath) {
+            each_tile(true, [&](const TileTask& tile) {
+                parts.clear();
+                exec.run(tile, parts, stats.activity);
+                for (const TilePart& p : parts) wsm.merge(p);
+            });
+        } else {
+            PartArena& arena = scratch.arena;
+            each_tile(true, [&](const TileTask& tile) {
+                arena.reset();
+                exec.run(tile, arena, stats.activity, scratch.part);
+                for (std::size_t i = 0; i < arena.used(); ++i) wsm.merge(arena.at(i));
+            });
         }
     } else {
-        const CycleAccurateArray array(config_.geometry, ccfg, exp_unit_, recip_unit_, qq,
-                                       kq, vq);
-        std::vector<std::vector<TilePart>> tile_parts(static_cast<std::size_t>(num_tiles));
-
-        workers.parallel_for(num_tiles, [&](int t, int lane) {
-            if (ctl != nullptr) ctl->check(t);
-            std::vector<TilePart>& parts = tile_parts[static_cast<std::size_t>(t)];
-            array.run(plan.tiles[static_cast<std::size_t>(t)], parts,
-                      lane_activity[static_cast<std::size_t>(lane)]);
-            tile_bounds[static_cast<std::size_t>(t)] =
-                part_query_bounds([&](auto&& visit) {
-                    for (const TilePart& p : parts) visit(p);
-                });
+        const CycleAccurateArray array(config_.geometry, config_.cycle_config(), exp_unit_,
+                                       recip_unit_, qq, kq, vq);
+        each_tile(false, [&](const TileTask& tile) {
+            parts.clear();
+            array.run(tile, parts, stats.activity);
+            for (const TilePart& p : parts) wsm.merge(p);
         });
-
-        replay_shards([&](int t, auto&& merge) {
-            for (const TilePart& p : tile_parts[static_cast<std::size_t>(t)]) merge(p);
-        });
-
-        for (int t = 0; t < num_tiles; ++t)
-            accountant.account(plan.tiles[static_cast<std::size_t>(t)], result.stats);
     }
-
-    for (const ActivityStats& a : lane_activity) result.stats.activity += a;
-    result.output = wsm.finalize();
-    return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -439,51 +280,12 @@ SimStats SaloEngine::run_step_head(const CompiledPlan& micro, const Matrix<float
     if (scratch.qq.cols() != d) scratch.qq = Matrix<std::int8_t>(1, d, 0);
     kernels::quantize_input(q_row.row(head).data(), static_cast<std::size_t>(d), scale,
                             scratch.qq.data().data());
-    const Matrix<std::int8_t>& qq = scratch.qq;
-
-    const SchedulePlan& plan = micro.plan();
-    const int num_tiles = static_cast<int>(plan.tiles.size());
     if (scratch.wsm)
         scratch.wsm->reset(1, d, recip_unit_);
     else
         scratch.wsm.emplace(1, d, recip_unit_);
-    WeightedSumModule& wsm = *scratch.wsm;
-    TileAccountant accountant(config_, d);
-    std::vector<TilePart>& parts = scratch.parts;
-
-    if (fidelity == Fidelity::kFunctional) {
-        const TileExecutor exec(exp_unit_, recip_unit_, qq, kq, vq);
-        for (int t = 0; t < num_tiles; ++t) {
-            if (ctl != nullptr) ctl->check(t);
-            const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-            if (config_.reference_datapath) {
-                parts.clear();
-                exec.run(tile, parts, stats.activity);
-                for (const TilePart& p : parts) wsm.merge(p);
-            } else {
-                scratch.arena.reset();
-                exec.run(tile, scratch.arena, stats.activity, scratch.part);
-                for (std::size_t i = 0; i < scratch.arena.used(); ++i)
-                    wsm.merge(scratch.arena.at(i));
-            }
-            const CycleBreakdown& b = accountant.account(tile, stats);
-            stats.activity.pe_cycles +=
-                static_cast<std::int64_t>(tile.rows()) * tile.cols() * b.total();
-        }
-    } else {
-        const CycleAccurateArray array(config_.geometry, config_.cycle_config(), exp_unit_,
-                                       recip_unit_, qq, kq, vq);
-        for (int t = 0; t < num_tiles; ++t) {
-            if (ctl != nullptr) ctl->check(t);
-            const TileTask& tile = plan.tiles[static_cast<std::size_t>(t)];
-            parts.clear();
-            array.run(tile, parts, stats.activity);
-            for (const TilePart& p : parts) wsm.merge(p);
-            accountant.account(tile, stats);
-        }
-    }
-
-    wsm.finalize_into(out);
+    run_tiles(micro.plan(), fidelity, scratch.qq, kq, vq, ctl, *scratch.wsm, stats);
+    scratch.wsm->finalize_into(out);
     return stats;
 }
 
@@ -569,23 +371,13 @@ HeadResult SaloEngine::run_head(const CompiledPlan& plan, const Matrix<float>& q
                                 const Matrix<float>& k, const Matrix<float>& v,
                                 float scale) const {
     check_compatible(plan);
-    return run_head_impl(plan.plan(), plan.pattern(), q, k, v, scale, config_.fidelity,
-                         config_.effective_threads());
+    return run_head_impl(plan.plan(), plan.pattern(), q, k, v, scale, config_.fidelity);
 }
 
 LayerResult SaloEngine::run(const CompiledPlan& plan, const Tensor3<float>& q,
                             const Tensor3<float>& k, const Tensor3<float>& v,
                             float scale) const {
-    return run(plan, q, k, v, scale, config_.fidelity, 0);
-}
-
-LayerResult SaloEngine::run(const CompiledPlan& plan, const Tensor3<float>& q,
-                            const Tensor3<float>& k, const Tensor3<float>& v, float scale,
-                            Fidelity fidelity, int thread_budget) const {
-    RunOptions options;
-    options.fidelity = fidelity;
-    options.thread_budget = thread_budget;
-    return run(plan, q, k, v, scale, options);
+    return run(plan, q, k, v, scale, RunOptions{});
 }
 
 LayerResult SaloEngine::run(const CompiledPlan& plan, const Tensor3<float>& q,
@@ -610,24 +402,21 @@ LayerResult SaloEngine::run(const CompiledPlan& plan, const Tensor3<float>& q,
     const int threads =
         options.thread_budget <= 0 ? config_.effective_threads() : options.thread_budget;
     std::vector<HeadResult> head_results(static_cast<std::size_t>(heads));
-    const auto run_one = [&](int h, int head_threads) {
+    const auto run_one = [&](int h) {
         head_results[static_cast<std::size_t>(h)] =
-            run_head_impl(p, pattern, q[h], k[h], v[h], scale, fidelity, head_threads, ctl);
+            run_head_impl(p, pattern, q[h], k[h], v[h], scale, fidelity, ctl);
     };
 
     if (threads > 1 && heads > 1) {
         // Heads share no state, so a head is the work unit: each lane claims
-        // whole heads and runs the sequential tile loop (quantize, execute,
-        // merge, account) on its own cache-resident buffers. Two or more
-        // heads beat splitting one head's tiles across the lanes in wall
-        // time and CPU, even with fewer heads than lanes
-        // (docs/PERFORMANCE.md "Threading model"). Heads are independent,
-        // so results are identical either way, and the two levels never nest.
-        pool().parallel_for(heads, [&](int h, int) { run_one(h, 1); });
+        // whole heads and runs the tile loop (quantize, execute, merge,
+        // account) on its own cache-resident buffers. Results are identical
+        // to the plain loop (docs/PERFORMANCE.md "Threading model").
+        pool().parallel_for(heads, [&](int h, int) { run_one(h); });
     } else {
-        // One thread, or one head: a single head's tiles are the only
-        // parallelism left, and run_head_impl forks them over the pool.
-        for (int h = 0; h < heads; ++h) run_one(h, threads);
+        // One thread, or one head: a head's tiles run in schedule order on
+        // the calling thread.
+        for (int h = 0; h < heads; ++h) run_one(h);
     }
 
     for (int h = 0; h < heads; ++h) {

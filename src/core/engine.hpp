@@ -23,14 +23,14 @@
 //   kCycleAccurate — bit-accurate datapath driven cycle-by-cycle (slow;
 //                    validates the analytic cycle model).
 //
-// Execution: the engine owns a persistent worker pool and parallelizes at
-// one of two levels — across heads whenever a layer has two or more (each
-// lane claims whole heads and runs the sequential tile loop), and across
-// the tiles of the one head otherwise (per-lane part arenas, then a sharded
-// ordered merge into the weighted-sum module). Both levels are bit-identical
-// to the sequential path for every thread count: heads share no state, tile
-// outputs are replayed in schedule order per query shard, and all datapath
-// arithmetic is integer.
+// Execution: every head — a layer head or a decode-step head — runs one
+// sequential tile loop, tiles in schedule order as the scheduler maps the
+// head onto the array. The engine owns a persistent worker pool and
+// parallelizes at one level, heads: a layer with two or more spreads whole
+// heads over the pool lanes (a decode step does so above kStepFanOutWork),
+// and a single head runs on the calling thread. Results are bit-identical
+// to the one-thread run for every thread count: heads share no state and
+// all datapath arithmetic is integer.
 #pragma once
 
 #include <chrono>
@@ -54,6 +54,8 @@
 #include "tensor/tensor3.hpp"
 
 namespace salo {
+
+class WeightedSumModule;
 
 struct HeadResult {
     Matrix<float> output;  ///< n x d attention output
@@ -82,9 +84,13 @@ struct StepResult {
 struct RunOptions {
     /// Execution fidelity; defaults to the engine's configured fidelity.
     std::optional<Fidelity> fidelity;
-    /// See run(plan, q, k, v, scale, fidelity, thread_budget): <= 0 means
-    /// the configured thread count, 1 forces the sequential path. For the
-    /// int8 run_step, <= 0 means work-sized (step_threads).
+    /// Lanes for the heads of run() and run_step: <= 0 means the
+    /// configured thread count (for the int8 run_step, work-sized:
+    /// step_threads); 1 runs on the calling thread only, with no pool
+    /// involvement, so many such calls can run concurrently; > 1 spreads
+    /// the heads over the engine's whole pool (not a lane bound; concurrent
+    /// calls serialize on that pool). A 1-head layer always runs on the
+    /// calling thread. Results are bit-identical for every value.
     int thread_budget = 0;
     /// Checked at every tile boundary; fires RequestCancelled.
     CancellationToken cancel;
@@ -134,19 +140,6 @@ public:
     LayerResult run(const CompiledPlan& plan, const Tensor3<float>& q,
                     const Tensor3<float>& k, const Tensor3<float>& v,
                     float scale) const;
-
-    /// Advanced overload (SaloSession batching): per-call fidelity and
-    /// execution shape. `thread_budget` <= 0 means the configured thread
-    /// count; 1 forces the pure sequential path with no pool involvement,
-    /// so many such calls can run concurrently. Values > 1 are NOT a lane
-    /// bound: they select the parallel path, which always runs on the
-    /// engine's full pool, and concurrent parallel regions serialize on
-    /// that pool — callers building their own batchers should pass 1 per
-    /// request (as SaloSession does) and parallelize across calls. Results
-    /// are bit-identical for every value.
-    LayerResult run(const CompiledPlan& plan, const Tensor3<float>& q,
-                    const Tensor3<float>& k, const Tensor3<float>& v, float scale,
-                    Fidelity fidelity, int thread_budget) const;
 
     /// Full-control overload: fidelity/thread budget plus the robustness
     /// hooks (cancellation, deadline, fault injection) checked at tile
@@ -254,30 +247,26 @@ private:
     /// fault injector as fallback.
     RunControl run_control(const RunOptions& options) const;
 
-    /// `threads` is the lane budget for THIS head (1 = sequential; callers
-    /// running heads in parallel pass 1 so levels never nest). `ctl` may be
-    /// null (no robustness hooks active).
+    /// One layer head: quantize, then the tile loop into a fresh n x d
+    /// weighted-sum module. `ctl` may be null (no robustness hooks active).
     HeadResult run_head_impl(const SchedulePlan& plan, const HybridPattern& pattern,
                              const Matrix<float>& q, const Matrix<float>& k,
                              const Matrix<float>& v, float scale, Fidelity fidelity,
-                             int threads, const RunControl* ctl = nullptr) const;
+                             const RunControl* ctl = nullptr) const;
 
-    HeadResult run_head_sequential(const SchedulePlan& plan, Fidelity fidelity,
-                                   const Matrix<std::int8_t>& qq,
-                                   const Matrix<std::int8_t>& kq,
-                                   const Matrix<std::int8_t>& vq,
-                                   const RunControl* ctl = nullptr) const;
-
-    HeadResult run_head_parallel(const SchedulePlan& plan, Fidelity fidelity,
-                                 const Matrix<std::int8_t>& qq,
-                                 const Matrix<std::int8_t>& kq,
-                                 const Matrix<std::int8_t>& vq,
-                                 const RunControl* ctl = nullptr) const;
+    /// The tile loop every layer head and decode-step head runs: the plan's
+    /// tiles in schedule order through the reference, arena or
+    /// cycle-accurate datapath, each tile's parts merged into `wsm` and its
+    /// cycles accounted into `stats`. Its buffers are the calling thread's,
+    /// so the arena datapath allocates nothing in steady state.
+    void run_tiles(const SchedulePlan& plan, Fidelity fidelity,
+                   const Matrix<std::int8_t>& qq, const Matrix<std::int8_t>& kq,
+                   const Matrix<std::int8_t>& vq, const RunControl* ctl,
+                   WeightedSumModule& wsm, SimStats& stats) const;
 
     /// One head of one decode step on the integer datapath, its output row
-    /// written into `out` (1 x d). A sequential tile loop (micro-plans are a
-    /// handful of tiles, so there is nothing to fork over inside a head) on
-    /// buffers the calling thread keeps across heads and steps.
+    /// written into `out` (1 x d): run_tiles into the calling thread's 1 x d
+    /// weighted-sum module, kept across heads and steps.
     SimStats run_step_head(const CompiledPlan& micro, const Matrix<float>& q_row, int head,
                            const Matrix<std::int8_t>& kq, const Matrix<std::int8_t>& vq,
                            float scale, Fidelity fidelity, const RunControl* ctl,

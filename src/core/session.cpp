@@ -148,9 +148,8 @@ void SaloSession::serve_batch(std::vector<Pending>& batch, std::vector<Outcome>&
 
     if (live.empty()) return;
     if (live.size() == 1) {
-        // Idle server: give the lone request the whole pool (its heads, or
-        // a single head's tiles, across the lanes; budget 0 = configured
-        // lanes).
+        // Idle server: give the lone request the whole pool (its heads
+        // across the lanes; budget 0 = configured lanes).
         execute(live.front(), /*thread_budget=*/0);
         return;
     }

@@ -32,20 +32,14 @@ void WeightedSumModule::reset(int n, int d, const Reciprocal& recip_unit) {
     weight_.assign(static_cast<std::size_t>(n), 0);
     out_q_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(d), 0);
     initialized_.assign(static_cast<std::size_t>(n), 0);
-    merges_.store(0, std::memory_order_relaxed);
-}
-
-bool WeightedSumModule::merge_shard(const TilePart& part, int q_lo, int q_hi) {
-    if (part.query < q_lo || part.query >= q_hi) return false;
-    merge(part);
-    return true;
+    merges_ = 0;
 }
 
 void WeightedSumModule::merge(const TilePart& part) {
     SALO_EXPECTS(part.query >= 0 && part.query < n_);
     SALO_EXPECTS(static_cast<int>(part.out_q.size()) == d_);
     if (part.weight == 0) return;  // massless part: no contribution
-    merges_.fetch_add(1, std::memory_order_relaxed);
+    ++merges_;
     const auto qi = static_cast<std::size_t>(part.query);
     std::int32_t* out = &out_q_[qi * static_cast<std::size_t>(d_)];
     if (!initialized_[qi]) {

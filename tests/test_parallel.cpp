@@ -1,5 +1,4 @@
-// The parallel tile-graph execution subsystem: determinism across thread
-// counts, the sharded weighted-sum merge, query-row shard partitioning, the
+// The parallel execution subsystem: determinism across thread counts, the
 // reference-vs-optimized datapath bit-identity, the dispatched kernels, and
 // the thread pool itself.
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include "numeric/quantize.hpp"
 #include "sim/kernels.hpp"
 #include "sim/tile_executor.hpp"
-#include "sim/wsm.hpp"
 #include "workload/workloads.hpp"
 
 namespace salo {
@@ -49,9 +47,9 @@ void expect_identical(const LayerResult& a, const LayerResult& b, const char* wh
 // -------------------------------------------------------------------------
 // Determinism: identical outputs AND identical SimStats for any thread
 // count, at both fidelity levels. Multi-head layers take the head path
-// (lanes claim whole heads); single-head runs take the tile-parallel path,
-// where n and w give the plan many tiles and a global token (cross-shard
-// queries).
+// (lanes claim whole heads); a single head runs its tile loop on the calling
+// thread whatever the thread count, and these tests guard that it stays so
+// (n and w give the plan many tiles and a global token).
 // -------------------------------------------------------------------------
 
 TEST(ParallelEngine, FunctionalDeterministicAcrossThreadCounts) {
@@ -104,9 +102,9 @@ TEST(ParallelEngine, HeadPathDeterministicWithUnevenHeadsPerLane) {
     }
 }
 
-TEST(ParallelEngine, SingleHeadCycleAccurateTileParallelMatchesOneThread) {
-    // One head leaves only its tiles to split: per-lane part vectors, the
-    // sharded replay merge, accounting in schedule order.
+TEST(ParallelEngine, SingleHeadCycleAccurateMatchesOneThread) {
+    // One head on a multi-thread engine: the tile loop on the calling thread,
+    // accounting in schedule order.
     const auto workload = longformer_small(128, 16, 1, 8, 1);
     const auto qkv = make_qkv(workload, 9);
     const auto base = SaloEngine(config_with_threads(1, Fidelity::kCycleAccurate))
@@ -119,7 +117,7 @@ TEST(ParallelEngine, SingleHeadCycleAccurateTileParallelMatchesOneThread) {
     }
 }
 
-TEST(ParallelEngine, SingleHeadRunUsesTileParallelismDeterministically) {
+TEST(ParallelEngine, SingleHeadRunDeterministicAcrossThreadCounts) {
     const auto pattern = longformer(256, 32, 1);
     Rng rng(7);
     const auto q = random_matrix(256, 16, rng, 0.0, 0.8);
@@ -149,93 +147,6 @@ TEST(ParallelEngine, ReferenceDatapathBitIdenticalToOptimized) {
                                   workload.scale());
         expect_identical(ref, opt, "reference vs optimized");
     }
-}
-
-// -------------------------------------------------------------------------
-// Sharded weighted-sum merge.
-// -------------------------------------------------------------------------
-
-TilePart make_part(int query, SumRaw weight, std::vector<std::int32_t> out) {
-    TilePart p;
-    p.query = query;
-    p.weight = weight;
-    p.out_q = std::move(out);
-    return p;
-}
-
-TEST(ShardedWsm, ShardRangeFiltersParts) {
-    const Reciprocal recip;
-    WeightedSumModule wsm(8, 2, recip);
-    const TilePart part = make_part(3, 1000, {100, -200});
-    EXPECT_FALSE(wsm.merge_shard(part, 0, 3));   // query 3 not in [0, 3)
-    EXPECT_FALSE(wsm.merge_shard(part, 4, 8));   // not in [4, 8)
-    EXPECT_EQ(wsm.merges(), 0);
-    EXPECT_TRUE(wsm.merge_shard(part, 3, 4));    // exactly covered
-    EXPECT_EQ(wsm.merges(), 1);
-}
-
-TEST(ShardedWsm, ShardedMergeMatchesSequentialMerge) {
-    // A realistic part stream: several queries, several parts per query,
-    // replayed (a) sequentially and (b) via disjoint shards that each scan
-    // the full stream in order. Rounding makes Eq. 2 merges order-sensitive
-    // per query, so equality here proves the shard replay preserves order.
-    const Reciprocal recip;
-    const int n = 16, d = 4;
-    Rng rng(99);
-    std::vector<TilePart> stream;
-    for (int round = 0; round < 6; ++round)
-        for (int q = 0; q < n; ++q) {
-            if ((q * 7 + round) % 3 == 0) continue;  // ragged coverage
-            std::vector<std::int32_t> out(d);
-            for (auto& x : out)
-                x = static_cast<std::int32_t>(rng.uniform_index(200000)) - 100000;
-            stream.push_back(make_part(q, 1 + rng.uniform_index(5000), out));
-        }
-
-    WeightedSumModule seq(n, d, recip);
-    for (const TilePart& p : stream) seq.merge(p);
-
-    WeightedSumModule sharded(n, d, recip);
-    const std::vector<std::pair<int, int>> shards = {{0, 5}, {5, 6}, {6, 16}};
-    for (const auto& [lo, hi] : shards)
-        for (const TilePart& p : stream) sharded.merge_shard(p, lo, hi);
-
-    EXPECT_EQ(seq.merges(), sharded.merges());
-    EXPECT_TRUE(seq.finalize_raw() == sharded.finalize_raw());
-}
-
-// -------------------------------------------------------------------------
-// Query-row shard partitioning.
-// -------------------------------------------------------------------------
-
-TEST(QueryShards, CoverEveryQueryExactlyOnce) {
-    const auto workload = longformer_small(200, 16, 1, 8, 2);
-    const SaloEngine engine(config_with_threads(1));
-    const auto plan = engine.plan(workload.pattern, workload.head_dim);
-    for (int shards : {1, 2, 3, 8, 64, 1000}) {
-        const auto ranges = partition_query_rows(plan, shards);
-        ASSERT_FALSE(ranges.empty()) << shards;
-        EXPECT_LE(static_cast<int>(ranges.size()), shards);
-        EXPECT_EQ(ranges.front().lo, 0);
-        EXPECT_EQ(ranges.back().hi, plan.n);
-        for (std::size_t i = 0; i < ranges.size(); ++i) {
-            EXPECT_LT(ranges[i].lo, ranges[i].hi) << "empty shard " << i;
-            if (i > 0) EXPECT_EQ(ranges[i].lo, ranges[i - 1].hi) << "gap at " << i;
-        }
-    }
-}
-
-TEST(QueryShards, BalancesMergeWork) {
-    const auto workload = longformer_small(512, 32, 1, 8, 1);
-    const SaloEngine engine(config_with_threads(1));
-    const auto plan = engine.plan(workload.pattern, workload.head_dim);
-    const auto ranges = partition_query_rows(plan, 4);
-    ASSERT_EQ(static_cast<int>(ranges.size()), 4);
-    // Uniform window work: shards should be within 2x of each other.
-    std::vector<int> sizes;
-    for (const auto& r : ranges) sizes.push_back(r.hi - r.lo);
-    const auto [mn, mx] = std::minmax_element(sizes.begin(), sizes.end());
-    EXPECT_LE(*mx, 2 * *mn);
 }
 
 // -------------------------------------------------------------------------
@@ -372,18 +283,14 @@ TEST(Kernels, DispatchedQuantizerMatchesInputFx) {
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
     ThreadPool pool(4);
     EXPECT_EQ(pool.lanes(), 4);
-    for (int chunk : {1, 7}) {
-        std::vector<std::atomic<int>> hits(257);
-        for (auto& h : hits) h.store(0);
-        pool.parallel_for(
-            257, [&](int i, int lane) {
-                ASSERT_GE(lane, 0);
-                ASSERT_LT(lane, 4);
-                hits[static_cast<std::size_t>(i)].fetch_add(1);
-            },
-            chunk);
-        for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-    }
+    std::vector<std::atomic<int>> hits(257);
+    for (auto& h : hits) h.store(0);
+    pool.parallel_for(257, [&](int i, int lane) {
+        ASSERT_GE(lane, 0);
+        ASSERT_LT(lane, 4);
+        hits[static_cast<std::size_t>(i)].fetch_add(1);
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, SingleLanePoolRunsInline) {

@@ -414,13 +414,16 @@ TEST(Robustness, StalledRequestResolvesAtItsDeadlineNotTheStall) {
 
 // -------------------------------------------------------------------------
 // Robustness hooks on the engine's head path: a multi-head run on several
-// threads spreads whole heads over the pool lanes, and a hook that fires in
-// one head fails the run from the calling thread, typed, while the engine
-// stays serviceable and bit-identical for the next run.
+// threads spreads whole heads over the pool lanes, a single head runs its
+// tile loop on the calling thread, and a hook that fires in one head fails
+// the run from the calling thread, typed, while the engine stays
+// serviceable and bit-identical for the next run.
 // -------------------------------------------------------------------------
 
 struct HeadPathRun {
-    AttentionWorkload w = longformer_small(64, 8, 4, 16, 1);
+    explicit HeadPathRun(int heads = 4) : w(longformer_small(64, 8, heads, 16, 1)) {}
+
+    AttentionWorkload w;
     QkvSet qkv = make_qkv(w, 21);
     SaloEngine engine{serving_config(4)};
     CompiledPlanPtr plan = engine.compile(w.pattern, w.head_dim);
@@ -464,6 +467,25 @@ TEST(EngineHeadPath, OneFaultedTileFailsTheRunAndSiblingHeadsFinish) {
     EXPECT_EQ(injector.tiles_seen(),
               static_cast<std::uint64_t>(r.w.heads * tiles) -
                   faulted * static_cast<std::uint64_t>(tiles - 1 - fault_tile));
+    r.expect_next_run_bit_identical();
+}
+
+TEST(EngineHeadPath, OneHeadStopsAtItsFaultedTileOnAMultiThreadEngine) {
+    // A 1-head layer on a 4-thread engine runs its tiles in schedule order
+    // on the calling thread, so the faulted tile is the last one run.
+    const HeadPathRun r(1);
+    const int tiles = static_cast<int>(r.plan->plan().tiles.size());
+    ASSERT_GE(tiles, 8);
+    const int fault_tile = 3;
+    FaultInjector::Config c;
+    c.fault_tiles = {fault_tile};
+    c.max_faults = 1;
+    const FaultInjector injector(c);
+    RunOptions options;
+    options.fault_injector = &injector;
+    EXPECT_THROW(r.run(options), EngineFault);
+    EXPECT_EQ(injector.faults_injected(), 1u);
+    EXPECT_EQ(injector.tiles_seen(), static_cast<std::uint64_t>(fault_tile + 1));
     r.expect_next_run_bit_identical();
 }
 

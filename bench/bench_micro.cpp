@@ -64,12 +64,13 @@ struct TileFixture {
 void BM_TileExecutorFunctional(benchmark::State& state) {
     const TileFixture f;
     const TileExecutor exec(f.exp_unit, f.recip, f.q, f.k, f.v);
-    std::vector<TilePart> parts;
+    PartArena parts;
+    PartScratch scratch;
     ActivityStats activity;
     std::size_t i = 0;
     for (auto _ : state) {
-        parts.clear();
-        exec.run(f.plan.tiles[i % f.plan.tiles.size()], parts, activity);
+        parts.reset();
+        exec.run(f.plan.tiles[i % f.plan.tiles.size()], parts, activity, scratch);
         benchmark::DoNotOptimize(parts);
         ++i;
     }
@@ -80,12 +81,13 @@ void BM_TileCycleAccurate(benchmark::State& state) {
     const TileFixture f;
     const CycleAccurateArray array(f.geometry, CycleConfig{}, f.exp_unit, f.recip, f.q,
                                    f.k, f.v);
-    std::vector<TilePart> parts;
+    PartArena parts;
+    PartScratch scratch;
     ActivityStats activity;
     std::size_t i = 0;
     for (auto _ : state) {
-        parts.clear();
-        array.run(f.plan.tiles[i % f.plan.tiles.size()], parts, activity);
+        parts.reset();
+        array.run(f.plan.tiles[i % f.plan.tiles.size()], parts, activity, scratch);
         benchmark::DoNotOptimize(parts);
         ++i;
     }
@@ -123,8 +125,8 @@ void BM_EngineSmallLongformer(benchmark::State& state) {
     const auto w = longformer_small(256, 64, 1, 64, 1);
     const auto qkv = make_qkv(w, 3);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            engine.run_head(w.pattern, qkv.q[0], qkv.k[0], qkv.v[0], w.scale()));
+        benchmark::DoNotOptimize(engine.run_head(*engine.compile(w.pattern, w.head_dim),
+                                                 qkv.q[0], qkv.k[0], qkv.v[0], w.scale()));
     }
 }
 BENCHMARK(BM_EngineSmallLongformer);

@@ -339,16 +339,18 @@ TenantMix make_tenant_mix(const salo::SaloConfig& config, std::uint64_t seed) {
     const auto t0 = Clock::now();
     for (int i = 0; i < kPool; ++i) {
         const auto idx = static_cast<std::size_t>(i);
-        mix.wb_expected.push_back(sequential.run(mix.wb_shape.pattern, mix.wb_qkv[idx].q,
-                                                 mix.wb_qkv[idx].k, mix.wb_qkv[idx].v,
-                                                 mix.wb_shape.scale()));
+        mix.wb_expected.push_back(
+            sequential.run(*sequential.compile(mix.wb_shape.pattern, mix.wb_shape.head_dim),
+                           mix.wb_qkv[idx].q, mix.wb_qkv[idx].k, mix.wb_qkv[idx].v,
+                           mix.wb_shape.scale()));
     }
     mix.wb_service_ms = std::max(ms_between(t0, Clock::now()) / kPool, 0.2);
     for (int i = 0; i < kPool; ++i) {
         const auto idx = static_cast<std::size_t>(i);
-        mix.ag_expected.push_back(sequential.run(mix.ag_shape.pattern, mix.ag_qkv[idx].q,
-                                                 mix.ag_qkv[idx].k, mix.ag_qkv[idx].v,
-                                                 mix.ag_shape.scale()));
+        mix.ag_expected.push_back(
+            sequential.run(*sequential.compile(mix.ag_shape.pattern, mix.ag_shape.head_dim),
+                           mix.ag_qkv[idx].q, mix.ag_qkv[idx].k, mix.ag_qkv[idx].v,
+                           mix.ag_shape.scale()));
     }
     return mix;
 }
@@ -683,9 +685,9 @@ int main(int argc, char** argv) {
     const auto seq0 = Clock::now();
     for (int i = 0; i < num_requests; ++i) {
         const auto idx = static_cast<std::size_t>(i);
-        expected.push_back(sequential.run(req_shape[idx]->pattern, req_qkv[idx].q,
-                                          req_qkv[idx].k, req_qkv[idx].v,
-                                          req_shape[idx]->scale()));
+        expected.push_back(sequential.run(
+            *sequential.compile(req_shape[idx]->pattern, req_shape[idx]->head_dim),
+            req_qkv[idx].q, req_qkv[idx].k, req_qkv[idx].v, req_shape[idx]->scale()));
     }
     const double sequential_ms = ms_between(seq0, Clock::now());
     std::printf("%-26s %9.1f ms  (%.1f req/s)\n", "sequential_engine",

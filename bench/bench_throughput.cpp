@@ -2,9 +2,9 @@
 // path vs the overhauled engine (SIMD kernels, arena parts, persistent
 // worker pool with head-level parallelism).
 //
-// The baseline configuration (`seed_reference_1t`) runs the original
-// datapath loops preserved behind SaloConfig::reference_datapath on one
-// thread — the seed's execution path. The optimized engine runs at 1 and 8
+// The baseline configuration (`seed_reference_1t`) runs reference_run, the
+// seed's sequential scalar datapath kept in the salo_reference oracle
+// target (reference/seed_datapath.hpp). The optimized engine runs at 1 and 8
 // threads and at the host's hardware thread count (`optimized_hw`). Every
 // configuration is verified to produce bit-identical outputs and identical
 // simulation statistics before any number is reported.
@@ -32,6 +32,7 @@
 
 #include "core/salo.hpp"
 #include "host.hpp"
+#include "reference/seed_datapath.hpp"
 #include "sim/kernels.hpp"
 #include "workload/workloads.hpp"
 
@@ -49,18 +50,16 @@ struct Timing {
     double cpu_ms = 0.0;
 };
 
-/// Timings of `reps` runs of one engine, sorted by ascending wall time.
-std::vector<Timing> times_ms(const SaloConfig& config, const AttentionWorkload& w,
-                             const QkvSet& qkv, int reps, LayerResult* out) {
-    // One engine for all reps: the persistent pool and its arenas are
-    // steady-state across calls, which is exactly what we want to measure.
-    const SaloEngine engine(config);
+/// Timings of `reps` calls of `run` (returning a LayerResult), sorted by
+/// ascending wall time.
+template <typename Run>
+std::vector<Timing> times_ms(int reps, LayerResult* out, Run&& run) {
     std::vector<Timing> times;
     times.reserve(static_cast<std::size_t>(reps));
     for (int i = 0; i < reps; ++i) {
         const std::clock_t c0 = std::clock();
         const auto t0 = std::chrono::steady_clock::now();
-        LayerResult r = engine.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
+        LayerResult r = run();
         const auto t1 = std::chrono::steady_clock::now();
         const std::clock_t c1 = std::clock();
         times.push_back({std::chrono::duration<double, std::milli>(t1 - t0).count(),
@@ -72,11 +71,18 @@ std::vector<Timing> times_ms(const SaloConfig& config, const AttentionWorkload& 
     return times;
 }
 
-double median_ms(const SaloConfig& config, const AttentionWorkload& w, const QkvSet& qkv,
-                 int reps, LayerResult* out) {
-    const std::vector<Timing> times = times_ms(config, w, qkv, reps, out);
-    return times[times.size() / 2].wall_ms;
+/// Timings of `reps` runs of one engine on a plan compiled before timing.
+std::vector<Timing> times_ms(const SaloConfig& config, const AttentionWorkload& w,
+                             const QkvSet& qkv, int reps, LayerResult* out) {
+    // One engine for all reps: the persistent pool and its arenas are
+    // steady-state across calls, which is exactly what we want to measure.
+    const SaloEngine engine(config);
+    const salo::CompiledPlanPtr plan = engine.compile(w.pattern, w.head_dim);
+    return times_ms(reps, out,
+                    [&] { return engine.run(*plan, qkv.q, qkv.k, qkv.v, w.scale()); });
 }
+
+double median_ms(const std::vector<Timing>& times) { return times[times.size() / 2].wall_ms; }
 
 bool identical(const LayerResult& a, const LayerResult& b) {
     if (a.stats.cycles != b.stats.cycles || a.stats.tiles != b.stats.tiles)
@@ -155,7 +161,6 @@ int main(int argc, char** argv) {
 
     SaloConfig seed_cfg;
     seed_cfg.num_threads = 1;
-    seed_cfg.reference_datapath = true;
     SaloConfig opt1_cfg;
     opt1_cfg.num_threads = 1;
     SaloConfig opt8_cfg;
@@ -170,13 +175,16 @@ int main(int argc, char** argv) {
                 salo::bench::cpu_model().c_str(), reps);
 
     LayerResult r_seed, r_opt1, r_opt8, r_opthw;
-    const double seed_ms = median_ms(seed_cfg, w, qkv, reps, &r_seed);
+    const salo::CompiledPlan seed_plan = salo::compile(w.pattern, w.head_dim, seed_cfg);
+    const double seed_ms = median_ms(times_ms(reps, &r_seed, [&] {
+        return salo::reference_run(seed_cfg, seed_plan, qkv.q, qkv.k, qkv.v, w.scale());
+    }));
     std::printf("%-24s %9.1f ms\n", "seed_reference_1t", seed_ms);
-    const double opt1_ms = median_ms(opt1_cfg, w, qkv, reps, &r_opt1);
+    const double opt1_ms = median_ms(times_ms(opt1_cfg, w, qkv, reps, &r_opt1));
     std::printf("%-24s %9.1f ms   (%.2fx)\n", "optimized_1t", opt1_ms, seed_ms / opt1_ms);
-    const double opt8_ms = median_ms(opt8_cfg, w, qkv, reps, &r_opt8);
+    const double opt8_ms = median_ms(times_ms(opt8_cfg, w, qkv, reps, &r_opt8));
     std::printf("%-24s %9.1f ms   (%.2fx)\n", "optimized_8t", opt8_ms, seed_ms / opt8_ms);
-    const double opthw_ms = median_ms(opthw_cfg, w, qkv, reps, &r_opthw);
+    const double opthw_ms = median_ms(times_ms(opthw_cfg, w, qkv, reps, &r_opthw));
     std::printf("%-24s %9.1f ms   (%.2fx)\n", "optimized_hw", opthw_ms, seed_ms / opthw_ms);
 
     const bool bit_identical = identical(r_seed, r_opt1) && identical(r_seed, r_opt8) &&

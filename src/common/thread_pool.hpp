@@ -9,8 +9,8 @@
 // without any static partitioning.
 //
 // Lanes: a pool of size L has L-1 worker threads plus the calling thread,
-// which participates as lane 0 instead of blocking. Task functions receive
-// (index, lane); the lane id is unique among concurrently-running tasks.
+// which participates instead of blocking. Task functions receive the index
+// only; each index runs exactly once, on whichever lane claims it.
 //
 // parallel_for is not reentrant: tasks must not call back into the same
 // pool (each item of an engine region — a head of one run, a request of
@@ -36,7 +36,7 @@ public:
         const int workers = lanes > 1 ? lanes - 1 : 0;
         workers_.reserve(static_cast<std::size_t>(workers));
         for (int w = 0; w < workers; ++w)
-            workers_.emplace_back([this, w] { worker_main(w + 1); });
+            workers_.emplace_back([this] { worker_main(); });
     }
 
     ~ThreadPool() {
@@ -53,9 +53,9 @@ public:
 
     int lanes() const { return static_cast<int>(workers_.size()) + 1; }
 
-    /// Run fn(index, lane) for every index in [0, count); blocks until all
+    /// Run fn(index) for every index in [0, count); blocks until all
     /// complete. Indices are claimed dynamically one ticket at a time; the
-    /// caller participates as lane 0.
+    /// caller participates as one of the lanes.
     ///
     /// Fault isolation: a throwing task never abandons its siblings — every
     /// index still runs, and the first exception is rethrown here after the
@@ -69,7 +69,7 @@ public:
     /// serialized on an internal mutex (SaloEngine is shared-const and its
     /// run() methods may race otherwise). Tasks must not call back into the
     /// same pool — a nested region would self-deadlock.
-    void parallel_for(int count, const std::function<void(int, int)>& fn) {
+    void parallel_for(int count, const std::function<void(int)>& fn) {
         if (count <= 0) return;
         if (workers_.empty() || count == 1) {
             // Inline path: same per-index fault isolation as the threaded
@@ -77,7 +77,7 @@ public:
             std::exception_ptr first;
             for (int i = 0; i < count; ++i) {
                 try {
-                    fn(i, 0);
+                    fn(i);
                 } catch (...) {
                     if (!first) first = std::current_exception();
                 }
@@ -96,7 +96,7 @@ public:
             ++generation_;
         }
         cv_start_.notify_all();
-        drain(0);
+        drain();
         std::unique_lock<std::mutex> lock(m_);
         cv_done_.wait(lock, [this] { return active_ == 0; });
         job_ = nullptr;
@@ -108,12 +108,12 @@ public:
     }
 
 private:
-    void drain(int lane) {
-        const std::function<void(int, int)>* job = job_;
+    void drain() {
+        const std::function<void(int)>* job = job_;
         int i;
         while ((i = next_.fetch_add(1, std::memory_order_relaxed)) < count_) {
             try {
-                (*job)(i, lane);
+                (*job)(i);
             } catch (...) {
                 // Isolate the fault to this index: record the first
                 // exception for the caller, keep running siblings.
@@ -123,7 +123,7 @@ private:
         }
     }
 
-    void worker_main(int lane) {
+    void worker_main() {
         std::uint64_t seen = 0;
         std::unique_lock<std::mutex> lock(m_);
         while (true) {
@@ -131,7 +131,7 @@ private:
             if (stop_) return;
             seen = generation_;
             lock.unlock();
-            drain(lane);
+            drain();
             lock.lock();
             if (--active_ == 0) cv_done_.notify_one();
         }
@@ -142,7 +142,7 @@ private:
     std::mutex m_;
     std::condition_variable cv_start_;
     std::condition_variable cv_done_;
-    const std::function<void(int, int)>* job_ = nullptr;
+    const std::function<void(int)>* job_ = nullptr;
     int count_ = 0;
     std::atomic<int> next_{0};
     int active_ = 0;

@@ -60,12 +60,6 @@ struct SaloConfig {
     /// values <= 0 mean "auto" (hardware concurrency).
     int num_threads = default_num_threads();
 
-    /// Run the original scalar datapath loops (per-tile allocations, span
-    /// indexing, int64 stage-5 accumulation) instead of the optimized
-    /// kernels. Same results bit-for-bit; kept as the measured baseline for
-    /// bench_throughput and for bit-identity tests.
-    bool reference_datapath = false;
-
     /// Capacity of the engine's internal CompiledPlan LRU cache (distinct
     /// pattern/geometry/head-dim combinations kept hot). Must be >= 1.
     int plan_cache_capacity = 64;

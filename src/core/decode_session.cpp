@@ -312,7 +312,7 @@ void DecodeSession::run_batch(std::vector<ExecItem>& batch, std::vector<Outcome>
             return;
         }
         tier_[batch[group[0]].stream->shard].engine.pool().parallel_for(
-            static_cast<int>(group.size()), [&](int i, int) {
+            static_cast<int>(group.size()), [&](int i) {
                 const std::size_t slot = group[static_cast<std::size_t>(i)];
                 outcome[slot] = execute(batch[slot], /*thread_budget=*/1);
             });

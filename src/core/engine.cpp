@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 
 #include "attention/golden.hpp"
@@ -52,7 +51,6 @@ struct LoopScratch {
     Matrix<std::int8_t> qq;  ///< decode step: the scaled, quantized query row (1 x d)
     PartArena arena;
     PartScratch part;
-    std::vector<TilePart> parts;  ///< reference and cycle-accurate paths
     std::optional<WeightedSumModule> wsm;  ///< decode step
 };
 
@@ -103,10 +101,6 @@ CompiledPlanPtr SaloEngine::compile(const HybridPattern& pattern, int head_dim) 
 }
 
 PlanCacheStats SaloEngine::plan_cache_stats() const { return plan_cache_.stats(); }
-
-SchedulePlan SaloEngine::plan(const HybridPattern& pattern, int head_dim) const {
-    return schedule(pattern, config_.geometry, head_dim, config_.schedule_options);
-}
 
 SaloEngine::RunControl SaloEngine::run_control(const RunOptions& options) const {
     RunControl ctl;
@@ -165,16 +159,18 @@ void SaloEngine::run_tiles(const SchedulePlan& plan, Fidelity fidelity,
                            WeightedSumModule& wsm, SimStats& stats) const {
     TileAccountant accountant(config_, qq.cols());
     LoopScratch& scratch = loop_scratch();
-    std::vector<TilePart>& parts = scratch.parts;
+    PartArena& arena = scratch.arena;
 
-    // `execute` runs one tile and merges its parts. The functional datapath
-    // adds the tile's closed-form PE-cycles; the cycle-accurate array counts
-    // its own.
+    // `execute` runs one tile into the arena. The functional datapath adds
+    // the tile's closed-form PE-cycles; the cycle-accurate array counts its
+    // own.
     const auto each_tile = [&](bool add_pe_cycles, auto&& execute) {
         for (std::size_t t = 0; t < plan.tiles.size(); ++t) {
             if (ctl != nullptr) ctl->check(static_cast<int>(t));
             const TileTask& tile = plan.tiles[t];
+            arena.reset();
             execute(tile);
+            for (std::size_t i = 0; i < arena.used(); ++i) wsm.merge(arena.at(i));
             const CycleBreakdown& b = accountant.account(tile, stats);
             if (add_pe_cycles)
                 stats.activity.pe_cycles +=
@@ -184,27 +180,14 @@ void SaloEngine::run_tiles(const SchedulePlan& plan, Fidelity fidelity,
 
     if (fidelity == Fidelity::kFunctional) {
         const TileExecutor exec(exp_unit_, recip_unit_, qq, kq, vq);
-        if (config_.reference_datapath) {
-            each_tile(true, [&](const TileTask& tile) {
-                parts.clear();
-                exec.run(tile, parts, stats.activity);
-                for (const TilePart& p : parts) wsm.merge(p);
-            });
-        } else {
-            PartArena& arena = scratch.arena;
-            each_tile(true, [&](const TileTask& tile) {
-                arena.reset();
-                exec.run(tile, arena, stats.activity, scratch.part);
-                for (std::size_t i = 0; i < arena.used(); ++i) wsm.merge(arena.at(i));
-            });
-        }
+        each_tile(true, [&](const TileTask& tile) {
+            exec.run(tile, arena, stats.activity, scratch.part);
+        });
     } else {
         const CycleAccurateArray array(config_.geometry, config_.cycle_config(), exp_unit_,
                                        recip_unit_, qq, kq, vq);
         each_tile(false, [&](const TileTask& tile) {
-            parts.clear();
-            array.run(tile, parts, stats.activity);
-            for (const TilePart& p : parts) wsm.merge(p);
+            array.run(tile, arena, stats.activity, scratch.part);
         });
     }
 }
@@ -218,50 +201,33 @@ SimStats SaloEngine::golden_step_head(const CompiledPlan& micro, const Matrix<fl
                                       const Matrix<float>& v, float scale,
                                       const RunControl* ctl, Matrix<float>& out) const {
     const StepGeometry& sg = micro.step();
-    const int d = micro.head_dim();
     if (ctl != nullptr) ctl->check(-1);
-    // masked_attention's row loop for row t, with absolute key positions
-    // mapped into the compact layout. The compact rows are copies of the
-    // absolute rows and the iteration stays ascending-j, so every float op
-    // matches golden() over the full prefix.
+    // masked_attention of row t over the compact rows, each mapped back to
+    // its absolute position; a pinned global that also sits in the ring
+    // section is skipped there. The compact order ascends in the absolute
+    // position and the rows are copies of the absolute rows, so every float
+    // op matches golden() over the full prefix, in O(window) per step.
     const HybridPattern& pattern = micro.pattern();
     const std::vector<int>& globals = pattern.global_tokens();
-    const int t = sg.position;
-    const auto compact_of = [&](int j) {
-        if (j >= sg.window_lo) return sg.num_globals + (j - sg.window_lo);
-        const auto pin = std::lower_bound(globals.begin(), globals.end(), j);
-        SALO_ASSERT(pin != globals.end() && *pin == j);
-        return static_cast<int>(pin - globals.begin());
+    const auto attends = [&](int, int c) {
+        const int j = c < sg.num_globals ? globals[static_cast<std::size_t>(c)]
+                                         : sg.window_lo + (c - sg.num_globals);
+        if (c < sg.num_globals && j >= sg.window_lo) return false;
+        return pattern.attends(sg.position, j);
     };
-    std::vector<int> cols;
-    std::vector<double> scores;
-    for (int j = 0; j <= t; ++j)
-        if (pattern.attends(t, j)) cols.push_back(j);
-    for (int x = 0; x < d; ++x) out(0, x) = 0.0f;
-    if (!cols.empty()) {
-        double mx = -std::numeric_limits<double>::infinity();
-        for (int j : cols) {
-            const int cj = compact_of(j);
-            double dot = 0.0;
-            for (int x = 0; x < d; ++x)
-                dot += static_cast<double>(q_row(head, x)) * static_cast<double>(k(cj, x));
-            dot *= scale;
-            scores.push_back(dot);
-            mx = std::max(mx, dot);
-        }
-        double sum = 0.0;
-        for (double& sc : scores) {
-            sc = std::exp(sc - mx);
-            sum += sc;
-        }
-        SALO_ASSERT(sum > 0.0);
-        for (std::size_t idx = 0; idx < cols.size(); ++idx) {
-            const double w = scores[idx] / sum;
-            const int cj = compact_of(cols[idx]);
-            for (int x = 0; x < d; ++x)
-                out(0, x) += static_cast<float>(w * static_cast<double>(v(cj, x)));
-        }
-    }
+#ifndef NDEBUG
+    // Every attended key below window_lo must be a pinned global, i.e. the
+    // compact rows accepted cover exactly the attended prefix keys (an
+    // O(prefix) scan, so debug builds only).
+    int accepted = 0, attended = 0;
+    for (int c = 0; c < k.rows(); ++c) accepted += attends(0, c) ? 1 : 0;
+    for (int j = 0; j <= sg.position; ++j) attended += pattern.attends(sg.position, j) ? 1 : 0;
+    SALO_DEBUG_ASSERT(accepted == attended);
+#endif
+    const auto row = q_row.row(head);
+    Matrix<float> q(1, micro.head_dim());
+    std::copy(row.begin(), row.end(), q.data().begin());
+    out = masked_attention(q, k, v, scale, attends);
     return SimStats{};
 }
 
@@ -326,7 +292,7 @@ StepResult SaloEngine::run_step_heads(const CompiledPlan& micro, const Matrix<fl
         // Heads are independent; a step's per-head tile loop is tiny, so a
         // head is the only sensible work quantum.
         std::vector<SimStats> head_stats(static_cast<std::size_t>(heads));
-        pool().parallel_for(heads, [&](int h, int) {
+        pool().parallel_for(heads, [&](int h) {
             head_stats[static_cast<std::size_t>(h)] = head_fn(h, ctl, result.output[h]);
         });
         for (const SimStats& s : head_stats) result.stats += s;
@@ -375,12 +341,6 @@ HeadResult SaloEngine::run_head(const CompiledPlan& plan, const Matrix<float>& q
 }
 
 LayerResult SaloEngine::run(const CompiledPlan& plan, const Tensor3<float>& q,
-                            const Tensor3<float>& k, const Tensor3<float>& v,
-                            float scale) const {
-    return run(plan, q, k, v, scale, RunOptions{});
-}
-
-LayerResult SaloEngine::run(const CompiledPlan& plan, const Tensor3<float>& q,
                             const Tensor3<float>& k, const Tensor3<float>& v, float scale,
                             const RunOptions& options) const {
     check_compatible(plan);
@@ -412,7 +372,7 @@ LayerResult SaloEngine::run(const CompiledPlan& plan, const Tensor3<float>& q,
         // whole heads and runs the tile loop (quantize, execute, merge,
         // account) on its own cache-resident buffers. Results are identical
         // to the plain loop (docs/PERFORMANCE.md "Threading model").
-        pool().parallel_for(heads, [&](int h, int) { run_one(h); });
+        pool().parallel_for(heads, [&](int h) { run_one(h); });
     } else {
         // One thread, or one head: a head's tiles run in schedule order on
         // the calling thread.
@@ -424,25 +384,6 @@ LayerResult SaloEngine::run(const CompiledPlan& plan, const Tensor3<float>& q,
         result.stats += head_results[static_cast<std::size_t>(h)].stats;
     }
     return result;
-}
-
-// ---------------------------------------------------------------------------
-// Legacy one-shot API: thin shims over compile + run. The engine's
-// PlanCache makes repeated calls with the same pattern/geometry free of
-// scheduler work.
-// ---------------------------------------------------------------------------
-
-HeadResult SaloEngine::run_head(const HybridPattern& pattern, const Matrix<float>& q,
-                                const Matrix<float>& k, const Matrix<float>& v,
-                                float scale) const {
-    return run_head(*compile(pattern, q.cols()), q, k, v, scale);
-}
-
-LayerResult SaloEngine::run(const HybridPattern& pattern, const Tensor3<float>& q,
-                            const Tensor3<float>& k, const Tensor3<float>& v,
-                            float scale) const {
-    SALO_EXPECTS(q.count() >= 1);
-    return run(*compile(pattern, q.cols()), q, k, v, scale);
 }
 
 }  // namespace salo

@@ -11,17 +11,19 @@
 //   compile(pattern, head_dim, config) -> CompiledPlan   // once per shape
 //   engine.run(plan, q, k, v, scale)   -> LayerResult    // many times
 //
-// The engine also keeps an internal PlanCache, so the legacy one-shot
-// run_head(pattern, ...)/run(pattern, ...) calls — now thin shims over the
-// compiled-plan API — no longer re-run the scheduler on every invocation.
-// For request-level serving (many in-flight layers batched onto one worker
-// pool) use SaloSession (core/session.hpp).
+// compile() resolves through the engine's internal PlanCache, so repeated
+// shapes never re-run the scheduler. For request-level serving (many
+// in-flight layers batched onto one worker pool) use SaloSession
+// (core/session.hpp).
 //
-// Fidelity levels:
-//   kGolden        — float masked attention, no hardware at all (oracle);
-//   kFunctional    — bit-accurate fixed-point datapath, analytic cycles;
-//   kCycleAccurate — bit-accurate datapath driven cycle-by-cycle (slow;
-//                    validates the analytic cycle model).
+// Fidelity levels, one datapath each:
+//   kGolden        — float masked attention (masked_attention), no hardware
+//                    at all (oracle);
+//   kFunctional    — bit-accurate fixed-point datapath (TileExecutor's arena
+//                    run), analytic cycles;
+//   kCycleAccurate — the same integer datapath driven cycle-by-cycle
+//                    (CycleAccurateArray; slow, validates the analytic cycle
+//                    model).
 //
 // Execution: every head — a layer head or a decode-step head — runs one
 // sequential tile loop, tiles in schedule order as the scheduler maps the
@@ -76,11 +78,11 @@ struct StepResult {
     int position = 0;       ///< query row in the full sequence
 };
 
-/// Per-run robustness controls (all optional; the zero-value runs exactly
-/// like the plain overloads). Checked at tile boundaries, so an in-flight
-/// run stops early on cancellation or deadline expiry by throwing the
-/// typed error — results that do complete are untouched and keep the
-/// bit-identity guarantee.
+/// Per-run controls (all optional; the zero value, the default argument,
+/// runs at the configured fidelity and thread count with no hooks). The
+/// hooks are checked at tile boundaries, so an in-flight run stops early on
+/// cancellation or deadline expiry by throwing the typed error — results
+/// that do complete are untouched and keep the bit-identity guarantee.
 struct RunOptions {
     /// Execution fidelity; defaults to the engine's configured fidelity.
     std::optional<Fidelity> fidelity;
@@ -136,18 +138,14 @@ public:
                         float scale) const;
 
     /// Run a multi-head attention layer on a compiled plan; the schedule is
-    /// shared across heads.
-    LayerResult run(const CompiledPlan& plan, const Tensor3<float>& q,
-                    const Tensor3<float>& k, const Tensor3<float>& v,
-                    float scale) const;
-
-    /// Full-control overload: fidelity/thread budget plus the robustness
-    /// hooks (cancellation, deadline, fault injection) checked at tile
-    /// boundaries. Throws RequestCancelled / DeadlineExceeded / EngineFault
-    /// from the calling thread when a hook fires mid-run.
+    /// shared across heads. `options` selects fidelity and thread budget and
+    /// carries the robustness hooks (cancellation, deadline, fault
+    /// injection) checked at tile boundaries: RequestCancelled /
+    /// DeadlineExceeded / EngineFault are thrown from the calling thread
+    /// when a hook fires mid-run.
     LayerResult run(const CompiledPlan& plan, const Tensor3<float>& q,
                     const Tensor3<float>& k, const Tensor3<float>& v, float scale,
-                    const RunOptions& options) const;
+                    const RunOptions& options = {}) const;
 
     // --- Incremental decode API --------------------------------------------
 
@@ -185,22 +183,8 @@ public:
                         float scale, const RunOptions& options = {}) const;
 
     /// Cumulative statistics of the internal PlanCache serving compile()
-    /// and the legacy shims.
+    /// and compile_step().
     PlanCacheStats plan_cache_stats() const;
-
-    // --- Legacy one-shot API (shims over compile + run) --------------------
-
-    /// Equivalent to run_head(*compile(pattern, q.cols()), ...).
-    HeadResult run_head(const HybridPattern& pattern, const Matrix<float>& q,
-                        const Matrix<float>& k, const Matrix<float>& v, float scale) const;
-
-    /// Equivalent to run(*compile(pattern, q.cols()), ...).
-    LayerResult run(const HybridPattern& pattern, const Tensor3<float>& q,
-                    const Tensor3<float>& k, const Tensor3<float>& v, float scale) const;
-
-    /// The schedule this engine would use for `pattern` with head dim `d`
-    /// (uncached direct scheduler invocation; prefer compile()).
-    SchedulePlan plan(const HybridPattern& pattern, int head_dim) const;
 
     /// Float oracle for the same computation (no quantization, no hardware).
     static Matrix<float> golden(const HybridPattern& pattern, const Matrix<float>& q,
@@ -255,10 +239,11 @@ private:
                              const RunControl* ctl = nullptr) const;
 
     /// The tile loop every layer head and decode-step head runs: the plan's
-    /// tiles in schedule order through the reference, arena or
-    /// cycle-accurate datapath, each tile's parts merged into `wsm` and its
-    /// cycles accounted into `stats`. Its buffers are the calling thread's,
-    /// so the arena datapath allocates nothing in steady state.
+    /// tiles in schedule order through the functional or cycle-accurate
+    /// datapath into one part arena, each tile's parts merged into `wsm`
+    /// and its cycles accounted into `stats`. Its buffers are the calling
+    /// thread's, so the functional datapath allocates nothing in steady
+    /// state.
     void run_tiles(const SchedulePlan& plan, Fidelity fidelity,
                    const Matrix<std::int8_t>& qq, const Matrix<std::int8_t>& kq,
                    const Matrix<std::int8_t>& vq, const RunControl* ctl,
@@ -272,7 +257,8 @@ private:
                            float scale, Fidelity fidelity, const RunControl* ctl,
                            Matrix<float>& out) const;
 
-    /// One head of one decode step at golden fidelity (float oracle).
+    /// One head of one decode step at golden fidelity: masked_attention of
+    /// the query row over the compact K/V rows.
     SimStats golden_step_head(const CompiledPlan& micro, const Matrix<float>& q_row,
                               int head, const Matrix<float>& k, const Matrix<float>& v,
                               float scale, const RunControl* ctl, Matrix<float>& out) const;

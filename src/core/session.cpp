@@ -157,7 +157,7 @@ void SaloSession::serve_batch(std::vector<Pending>& batch, std::vector<Outcome>&
     // sequential path on one lane (budget 1) — no nested pool use,
     // bit-identical to its standalone sequential run. Outcomes land in
     // per-request slots, counted after the barrier.
-    engine_.pool().parallel_for(static_cast<int>(live.size()), [&](int i, int) {
+    engine_.pool().parallel_for(static_cast<int>(live.size()), [&](int i) {
         execute(live[static_cast<std::size_t>(i)], /*thread_budget=*/1);
     });
 }

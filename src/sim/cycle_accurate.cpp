@@ -1,9 +1,9 @@
 #include "sim/cycle_accurate.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/assert.hpp"
-#include "sim/part_builder.hpp"
 
 namespace salo {
 
@@ -20,8 +20,8 @@ CycleAccurateArray::CycleAccurateArray(const ArrayGeometry& geometry,
     SALO_EXPECTS(q.cols() == k.cols() && k.rows() == v.rows() && k.cols() == v.cols());
 }
 
-CycleBreakdown CycleAccurateArray::run(const TileTask& tile, std::vector<TilePart>& parts,
-                                       ActivityStats& activity) const {
+CycleBreakdown CycleAccurateArray::run(const TileTask& tile, PartArena& arena,
+                                       ActivityStats& activity, PartScratch& scratch) const {
     const int rows = tile.rows();
     const int cols = tile.cols();
     const int d = q_->cols();
@@ -133,31 +133,33 @@ CycleBreakdown CycleAccurateArray::run(const TileTask& tile, std::vector<TilePar
 
     // Emit parts in the same order as the functional executor: per row the
     // window part then the global-column part, then the global-row part.
-    std::vector<ScoreRaw> scores;
-    std::vector<int> keys;
+    // The global PE row and column run the shared stage 2-5 part builder on
+    // their stage-1 dots.
+    std::vector<ScoreRaw>& scores = scratch.scores;
+    std::vector<int>& keys = scratch.keys;
+    auto emit_global = [&](int query) {
+        activity.mac_ops += static_cast<std::int64_t>(scores.size()) * d;
+        build_part_into(*exp_unit_, *recip_unit_, *v_, query, scores.data(), keys.data(),
+                        static_cast<int>(scores.size()), activity, arena, scratch);
+    };
     for (int r = 0; r < rows; ++r) {
         const int qi = tile.query_ids[static_cast<std::size_t>(r)];
         bool any = false;
         for (int c = 0; c < cu && !any; ++c) any = slot_key(r, c) >= 0;
         if (any && weight[static_cast<std::size_t>(r)] > 0) {
-            TilePart part;
+            TilePart& part = arena.alloc(d);
             part.query = qi;
             part.weight = weight[static_cast<std::size_t>(r)];
-            part.out_q.resize(static_cast<std::size_t>(d));
             for (int t = 0; t < d; ++t)
                 part.out_q[static_cast<std::size_t>(t)] =
                     static_cast<std::int32_t>(round_shift(psum(r, t), shift));
-            parts.push_back(std::move(part));
         }
         if (tile.global_col_key >= 0 && !tile.global_col_rows.empty() &&
             tile.global_col_rows[static_cast<std::size_t>(r)] != 0) {
             SALO_ASSERT(qi >= 0);
             scores.assign(1, dot(qi, tile.global_col_key));
             keys.assign(1, tile.global_col_key);
-            activity.mac_ops += d;
-            TilePart part =
-                build_part(*exp_unit_, *recip_unit_, *v_, qi, scores, keys, activity);
-            if (part.weight > 0) parts.push_back(std::move(part));
+            emit_global(qi);
         }
     }
     if (tile.global_row_query >= 0) {
@@ -175,12 +177,7 @@ CycleBreakdown CycleAccurateArray::run(const TileTask& tile, std::vector<TilePar
                 keys.push_back(static_cast<int>(key));
             }
         }
-        if (!scores.empty()) {
-            activity.mac_ops += static_cast<std::int64_t>(scores.size()) * d;
-            TilePart part =
-                build_part(*exp_unit_, *recip_unit_, *v_, g, scores, keys, activity);
-            if (part.weight > 0) parts.push_back(std::move(part));
-        }
+        if (!scores.empty()) emit_global(g);
     }
 
     activity.valid_slots += tile.num_valid_slots();

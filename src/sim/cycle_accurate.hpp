@@ -13,19 +13,22 @@
 //   stage 5 — weight-stationary S'*V: output element t leaves the row at
 //             cycle t + cols_used - 1; weighted-sum pipeline tail.
 //
-// Numeric results are bit-identical to the functional TileExecutor (they
-// share the integer kernels); what this model adds is *measured* cycle
-// counts and PE-activity traces that validate the closed-form formulas in
-// cycle_formulas.hpp and feed the utilization comparison of paper §6.3.
+// It takes the functional TileExecutor's arguments (tile, arena, activity,
+// scratch) and emits the same parts in the same order, bit for bit: the
+// PE-array rows come out of the per-cycle loops above, and the global PE row
+// and column parts out of the shared build_part_into (sim/part_builder.hpp).
+// What this model adds is *measured* cycle counts and PE-activity traces
+// that validate the closed-form formulas in cycle_formulas.hpp and feed the
+// utilization comparison of paper §6.3.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "numeric/pwl_exp.hpp"
 #include "numeric/reciprocal.hpp"
 #include "scheduler/tile.hpp"
 #include "sim/cycle_formulas.hpp"
+#include "sim/part_builder.hpp"
 #include "sim/parts.hpp"
 #include "tensor/matrix.hpp"
 
@@ -38,10 +41,12 @@ public:
                        const Matrix<std::int8_t>& q, const Matrix<std::int8_t>& k,
                        const Matrix<std::int8_t>& v);
 
-    /// Execute one tile cycle-by-cycle. Appends output parts, accumulates
-    /// activity (including pe_cycles) and returns the measured breakdown.
-    CycleBreakdown run(const TileTask& tile, std::vector<TilePart>& parts,
-                       ActivityStats& activity) const;
+    /// Execute one tile cycle-by-cycle. Appends its output parts to `arena`
+    /// in TileExecutor::run's order, accumulates activity (including
+    /// pe_cycles) and returns the measured breakdown. `scratch` is reused
+    /// across calls, as for the functional executor.
+    CycleBreakdown run(const TileTask& tile, PartArena& arena, ActivityStats& activity,
+                       PartScratch& scratch) const;
 
 private:
     ArrayGeometry geometry_;

@@ -27,57 +27,13 @@ inline void exp_batch(const PwlExp& exp_unit, const ScoreRaw* scores, ExpRaw* ou
 
 }  // namespace
 
-TilePart build_part(const PwlExp& exp_unit, const Reciprocal& recip_unit,
-                    const Matrix<std::int8_t>& v, int query,
-                    const std::vector<ScoreRaw>& scores, const std::vector<int>& key_ids,
-                    ActivityStats& activity) {
-    SALO_EXPECTS(scores.size() == key_ids.size());
-    const int d = v.cols();
-    TilePart part;
-    part.query = query;
-    part.out_q.assign(static_cast<std::size_t>(d), 0);
-
-    // Stage 2: PWL exponential per element; stage 3: row accumulation.
-    std::vector<ExpRaw> exps(scores.size());
-    SumRaw weight = 0;
-    for (std::size_t c = 0; c < scores.size(); ++c) {
-        exps[c] = exp_unit.exp_raw(scores[c]);
-        weight += exps[c];
-    }
-    activity.exp_ops += static_cast<std::int64_t>(scores.size());
-    part.weight = weight;
-    if (weight == 0) return part;  // all terms underflowed; part carries no mass
-
-    // Stage 3: broadcast 1/W; stage 4: S' = exp * inv.
-    const InvRaw inv = recip_unit.inv_raw(weight);
-
-    // Stage 5: out = sum_c S'_c * v_c at Q.(sprime+in) = Q.19, renormalized
-    // to the weighted-sum module's Q.wsm_frac.
-    constexpr int acc_frac = Datapath::sprime_frac + Datapath::in_frac;  // 19
-    constexpr int shift = acc_frac - Datapath::wsm_frac;                 // 3
-    std::vector<std::int64_t> acc(static_cast<std::size_t>(d), 0);
-    for (std::size_t c = 0; c < scores.size(); ++c) {
-        const SprimeRaw sp = normalize_prob(exps[c], inv);
-        if (sp == 0) continue;
-        const auto vrow = v.row(key_ids[c]);
-        for (int t = 0; t < d; ++t)
-            acc[static_cast<std::size_t>(t)] +=
-                static_cast<std::int64_t>(sp) *
-                static_cast<std::int64_t>(vrow[static_cast<std::size_t>(t)]);
-    }
-    activity.mac_ops += static_cast<std::int64_t>(scores.size()) * d;
-    for (int t = 0; t < d; ++t)
-        part.out_q[static_cast<std::size_t>(t)] = static_cast<std::int32_t>(
-            round_shift(acc[static_cast<std::size_t>(t)], shift));
-    return part;
-}
-
 void build_part_into(const PwlExp& exp_unit, const Reciprocal& recip_unit,
                      const Matrix<std::int8_t>& v, int query, const ScoreRaw* scores,
                      const int* key_ids, int count, ActivityStats& activity,
-                     TilePart& part, PartScratch& scratch) {
+                     PartArena& arena, PartScratch& scratch) {
     const int d = v.cols();
-    part.query = query;  // out_q arrives zeroed and sized d from the arena
+    TilePart& part = arena.alloc(d);  // out_q zeroed and sized d
+    part.query = query;
 
     // Stage 2: PWL exponential per element; stage 3: row accumulation.
     scratch.exps.resize(static_cast<std::size_t>(count));
@@ -87,7 +43,10 @@ void build_part_into(const PwlExp& exp_unit, const Reciprocal& recip_unit,
     for (int c = 0; c < count; ++c) weight += exps[c];
     activity.exp_ops += count;
     part.weight = weight;
-    if (weight == 0) return;  // all terms underflowed; part carries no mass
+    if (weight == 0) {  // all terms underflowed; the part carries no mass
+        arena.drop_last();
+        return;
+    }
 
     // Stage 3: broadcast 1/W; stage 4: S' = exp * inv.
     const InvRaw inv = recip_unit.inv_raw(weight);

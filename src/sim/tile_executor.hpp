@@ -3,23 +3,15 @@
 // Runs the exact integer datapath of the PE array — stage-1 MAC
 // accumulation, PWL exponential, reciprocal broadcast, stage-4 normalize,
 // stage-5 weighted sum — plus the global PE row and global PE column, and
-// emits renormalizable TileParts. The cycle-accurate model produces
-// bit-identical values (it calls the same numeric kernels in a timed loop);
-// this class is the fast path used for full-layer runs.
-//
-// Two entry points with bit-identical outputs:
-//   * run(tile, arena, activity, scratch) — the hot path: dispatched SIMD
-//     dot products, segment-wise key streaming (no per-column segment
-//     lookups), and arena-recycled parts with zero per-tile heap traffic.
-//     Thread-safe: concurrent calls on one executor are fine as long as each
-//     worker lane owns its arena and scratch.
-//   * run(tile, parts, activity) — the original scalar implementation,
-//     preserved verbatim as the reference baseline for bench_throughput and
-//     for the bit-identity tests.
+// emits renormalizable TileParts into a PartArena: dispatched SIMD dot
+// products, segment-wise key streaming (no per-column segment lookups), and
+// arena-recycled parts with zero per-tile heap traffic. This is the
+// functional fidelity's only datapath; the cycle-accurate model takes the
+// same arguments and produces bit-identical parts. The seed's scalar tile
+// loop survives only as a test/bench oracle (reference/seed_datapath.hpp).
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "numeric/pwl_exp.hpp"
 #include "numeric/reciprocal.hpp"
@@ -37,24 +29,13 @@ public:
                  const Matrix<std::int8_t>& q, const Matrix<std::int8_t>& k,
                  const Matrix<std::int8_t>& v);
 
-    /// Hot path: execute one tile, appending its output parts (PE-array
-    /// rows, global-column contributions, global-row contribution, in that
-    /// order) to `arena` and updating activity counters. `scratch` is reused
-    /// across calls; use one arena + scratch per worker lane.
+    /// Execute one tile, appending its output parts (PE-array rows,
+    /// global-column contributions, global-row contribution, in that order)
+    /// to `arena` and updating activity counters. `scratch` is reused across
+    /// calls. Thread-safe: concurrent calls on one executor are fine as long
+    /// as each thread owns its arena and scratch.
     void run(const TileTask& tile, PartArena& arena, ActivityStats& activity,
              PartScratch& scratch) const;
-
-    /// Reference path: identical results into a plain vector (the original
-    /// per-tile implementation; scalar, allocation-heavy).
-    void run(const TileTask& tile, std::vector<TilePart>& parts,
-             ActivityStats& activity) const;
-
-    /// Stage-1 dot product: sum_t q[qi][t]*k[ki][t], raw Q.acc_frac.
-    /// (Reference scalar form; the hot path uses kernels::dot_i8.)
-    ScoreRaw score(int qi, int ki) const;
-
-    int head_dim() const { return q_->cols(); }
-    int n() const { return q_->rows(); }
 
 private:
     const PwlExp* exp_unit_;

@@ -132,8 +132,7 @@ TEST(PlanFingerprint, CompileStampsTheKey) {
     EXPECT_TRUE(plan.pattern() == p);
     EXPECT_GT(plan.schedule_stats().total_tiles(), 0);
     // The compiled schedule is the schedule the engine would build.
-    const SaloEngine engine(config);
-    const SchedulePlan direct = engine.plan(p, 32);
+    const SchedulePlan direct = schedule(p, config.geometry, 32, config.schedule_options);
     EXPECT_EQ(plan.plan().tiles.size(), direct.tiles.size());
     EXPECT_EQ(plan.schedule_stats().valid_slots, direct.stats.valid_slots);
 }
@@ -377,7 +376,7 @@ TEST(PlanCacheTest, PeekDoesNotCountOrReorder) {
 }
 
 // -------------------------------------------------------------------------
-// Engine integration: compile() caching and legacy-shim equivalence
+// Engine integration: compile() caching and plan compatibility
 // -------------------------------------------------------------------------
 
 TEST(EngineCompile, RepeatedCompileIsACacheHit) {
@@ -389,29 +388,6 @@ TEST(EngineCompile, RepeatedCompileIsACacheHit) {
     const PlanCacheStats s = engine.plan_cache_stats();
     EXPECT_EQ(s.hits, 1u);
     EXPECT_EQ(s.misses, 1u);
-}
-
-TEST(EngineCompile, LegacyShimsMatchCompiledPlanRuns) {
-    SaloConfig config;
-    config.geometry.rows = 8;
-    config.geometry.cols = 8;
-    config.num_threads = 2;
-    const SaloEngine engine(config);
-    const AttentionWorkload w = longformer_small(96, 16, 2, 16, 1);
-    const QkvSet qkv = make_qkv(w, 5);
-
-    const LayerResult via_pattern = engine.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
-    const CompiledPlanPtr plan = engine.compile(w.pattern, w.head_dim);
-    const LayerResult via_plan = engine.run(*plan, qkv.q, qkv.k, qkv.v, w.scale());
-
-    ASSERT_EQ(via_pattern.output.count(), via_plan.output.count());
-    for (int h = 0; h < via_pattern.output.count(); ++h)
-        EXPECT_DOUBLE_EQ(max_abs_diff(via_pattern.output[h], via_plan.output[h]), 0.0);
-    EXPECT_EQ(via_pattern.stats.cycles, via_plan.stats.cycles);
-    EXPECT_EQ(via_pattern.schedule.valid_slots, via_plan.schedule.valid_slots);
-    // The legacy call went through the same cache: one miss total.
-    EXPECT_EQ(engine.plan_cache_stats().misses, 1u);
-    EXPECT_GE(engine.plan_cache_stats().hits, 1u);
 }
 
 TEST(EngineCompile, RunRejectsPlanFromDifferentGeometry) {

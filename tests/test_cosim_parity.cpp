@@ -138,9 +138,11 @@ TEST(CosimParity, StageTotalsMatchCycleAccurateMeasurement) {
     const CycleAccurateArray array(g, CycleConfig{}, exp_unit, recip_unit, q, k, v);
     CycleBreakdown measured;
     ActivityStats activity;
-    std::vector<TilePart> parts;
+    PartArena parts;
+    PartScratch scratch;
     for (const TileTask& tile : plan.tiles) {
-        const CycleBreakdown b = array.run(tile, parts, activity);
+        parts.reset();
+        const CycleBreakdown b = array.run(tile, parts, activity, scratch);
         for (int s = 0; s < 5; ++s) measured.stage[s] += b.stage[s];
     }
 

@@ -4,6 +4,7 @@
 
 #include "common/rng.hpp"
 #include "numeric/quantize.hpp"
+#include "reference/seed_datapath.hpp"
 #include "scheduler/scheduler.hpp"
 #include "sim/cycle_accurate.hpp"
 #include "sim/tile_executor.hpp"
@@ -30,27 +31,43 @@ struct Fixture {
     }
 };
 
+// The seed's scalar tile loop (ReferenceTileExecutor) is the independent
+// oracle: the cycle-accurate array must reproduce its parts and useful-work
+// counters tile for tile, and so must the functional arena executor.
 void expect_bit_exact(const HybridPattern& pattern, int d, std::uint64_t seed) {
     Fixture f(pattern, d, seed);
+    const ReferenceTileExecutor seed_exec(f.exp_unit, f.recip_unit, f.q, f.k, f.v);
     const TileExecutor exec(f.exp_unit, f.recip_unit, f.q, f.k, f.v);
     const CycleAccurateArray array(f.geometry, CycleConfig{}, f.exp_unit, f.recip_unit,
                                    f.q, f.k, f.v);
+    PartArena arena, slow;
+    PartScratch scratch;
     for (const TileTask& tile : f.plan.tiles) {
-        std::vector<TilePart> fast, slow;
-        ActivityStats a1, a2;
-        exec.run(tile, fast, a1);
-        array.run(tile, slow, a2);
-        ASSERT_EQ(fast.size(), slow.size());
+        std::vector<TilePart> fast;
+        ActivityStats a1, a2, a3;
+        arena.reset();
+        slow.reset();
+        seed_exec.run(tile, fast, a1);
+        array.run(tile, slow, a2, scratch);
+        exec.run(tile, arena, a3, scratch);
+        ASSERT_EQ(fast.size(), slow.used());
+        ASSERT_EQ(arena.used(), slow.used());
         for (std::size_t i = 0; i < fast.size(); ++i) {
-            EXPECT_EQ(fast[i].query, slow[i].query);
-            EXPECT_EQ(fast[i].weight, slow[i].weight) << "part " << i;
-            EXPECT_EQ(fast[i].out_q, slow[i].out_q) << "part " << i;
+            EXPECT_EQ(fast[i].query, slow.at(i).query);
+            EXPECT_EQ(fast[i].weight, slow.at(i).weight) << "part " << i;
+            EXPECT_EQ(fast[i].out_q, slow.at(i).out_q) << "part " << i;
+            EXPECT_EQ(arena.at(i).query, slow.at(i).query);
+            EXPECT_EQ(arena.at(i).weight, slow.at(i).weight) << "part " << i;
+            EXPECT_EQ(arena.at(i).out_q, slow.at(i).out_q) << "part " << i;
         }
         // Identical useful-work counters (pe_cycles only exists in the
         // cycle-accurate path).
         EXPECT_EQ(a1.mac_ops, a2.mac_ops);
         EXPECT_EQ(a1.exp_ops, a2.exp_ops);
         EXPECT_EQ(a1.valid_slots, a2.valid_slots);
+        EXPECT_EQ(a3.mac_ops, a2.mac_ops);
+        EXPECT_EQ(a3.exp_ops, a2.exp_ops);
+        EXPECT_EQ(a3.valid_slots, a2.valid_slots);
     }
 }
 
@@ -79,10 +96,12 @@ TEST(CycleAccurate, MeasuredCyclesMatchFormulas) {
     const CycleAccurateArray array(f.geometry, CycleConfig{}, f.exp_unit, f.recip_unit,
                                    f.q, f.k, f.v);
     const CycleConfig ccfg;
+    PartArena parts;
+    PartScratch scratch;
     for (const TileTask& tile : f.plan.tiles) {
-        std::vector<TilePart> parts;
         ActivityStats activity;
-        const CycleBreakdown measured = array.run(tile, parts, activity);
+        parts.reset();
+        const CycleBreakdown measured = array.run(tile, parts, activity, scratch);
         const CycleBreakdown formula = tile_cycles(tile, 16, ccfg);
         for (int s = 0; s < 5; ++s)
             EXPECT_EQ(measured.stage[s], formula.stage[s]) << "stage " << s;
@@ -95,14 +114,15 @@ TEST(CycleAccurate, StageBreakdownShape) {
     Fixture f(sliding_window(64, 8), 16, 7);
     const CycleAccurateArray array(f.geometry, CycleConfig{}, f.exp_unit, f.recip_unit,
                                    f.q, f.k, f.v);
-    std::vector<TilePart> parts;
+    PartArena parts;
+    PartScratch scratch;
     ActivityStats activity;
     // Find a full-width interior tile.
     const TileTask* full = nullptr;
     for (const TileTask& tile : f.plan.tiles)
         if (tile.cols_used() == 8) full = &tile;
     ASSERT_NE(full, nullptr);
-    const CycleBreakdown b = array.run(*full, parts, activity);
+    const CycleBreakdown b = array.run(*full, parts, activity, scratch);
     EXPECT_EQ(b.stage[0], 30);
     EXPECT_EQ(b.stage[1], 3);
     EXPECT_EQ(b.stage[2], 8 + Reciprocal::Config{}.latency() + 1);
@@ -168,8 +188,12 @@ TEST(CycleAccurate, UtilizationBetweenZeroAndOne) {
     const CycleAccurateArray array(f.geometry, CycleConfig{}, f.exp_unit, f.recip_unit,
                                    f.q, f.k, f.v);
     ActivityStats activity;
-    std::vector<TilePart> parts;
-    for (const TileTask& tile : f.plan.tiles) array.run(tile, parts, activity);
+    PartArena parts;
+    PartScratch scratch;
+    for (const TileTask& tile : f.plan.tiles) {
+        parts.reset();
+        array.run(tile, parts, activity, scratch);
+    }
     EXPECT_GT(activity.occupancy(), 0.0);
     EXPECT_LE(activity.occupancy(), 1.0);
     EXPECT_GT(activity.mac_utilization(), 0.0);

@@ -18,6 +18,7 @@
 #include "core/errors.hpp"
 #include "core/plan_cache.hpp"
 #include "numeric/quantize.hpp"
+#include "reference/seed_datapath.hpp"
 #include "tensor/tensor3.hpp"
 
 namespace salo {
@@ -35,10 +36,12 @@ HybridPattern prefix_pattern(int length, const std::vector<Band>& bands,
 // Drive `steps` decode steps of one stream through run_step and compare
 // every step's output, bitwise, against row t of the full-prefix encode of
 // length t+1 (the only correct reference: later globals would change row
-// t's attended set).
+// t's attended set). With `seed_reference` the steps take the int8
+// overload and the encode is the seed datapath's reference_run.
 void expect_stepwise_bit_identity(const SaloConfig& config, const std::vector<Band>& bands,
                                   const std::vector<int>& globals, int heads, int d,
-                                  int steps, Fidelity fidelity, unsigned seed) {
+                                  int steps, Fidelity fidelity, unsigned seed,
+                                  bool seed_reference = false) {
     SaloEngine engine(config);
     const float scale = 0.25f;
     Rng rng(seed);
@@ -67,8 +70,14 @@ void expect_stepwise_bit_identity(const SaloConfig& config, const std::vector<Ba
         const CompiledPlanPtr micro = engine.compile_step(prefix, d);
         ASSERT_TRUE(micro->is_step());
         EXPECT_EQ(micro->step().position, t);
-        auto [kc, vc] = state.assemble();
-        const StepResult step = engine.run_step(*micro, q_row, kc, vc, scale, options);
+        StepResult step;
+        if (seed_reference) {
+            auto [kq, vq] = state.assemble_quantized();
+            step = engine.run_step(*micro, q_row, kq, vq, scale, options);
+        } else {
+            auto [kc, vc] = state.assemble();
+            step = engine.run_step(*micro, q_row, kc, vc, scale, options);
+        }
 
         // Full-prefix reference: whole-sequence encode of the same t+1 rows.
         Tensor3<float> q_pre(heads, t + 1, d), k_pre(heads, t + 1, d),
@@ -81,7 +90,9 @@ void expect_stepwise_bit_identity(const SaloConfig& config, const std::vector<Ba
                     v_pre[h](r, x) = v_all[h](r, x);
                 }
         const CompiledPlanPtr full = engine.compile(prefix, d);
-        const LayerResult ref = engine.run(*full, q_pre, k_pre, v_pre, scale, options);
+        const LayerResult ref =
+            seed_reference ? reference_run(config, *full, q_pre, k_pre, v_pre, scale)
+                           : engine.run(*full, q_pre, k_pre, v_pre, scale, options);
 
         for (int h = 0; h < heads; ++h)
             for (int x = 0; x < d; ++x)
@@ -624,10 +635,11 @@ TEST(RunStep, MultiBandBitIdentity) {
 }
 
 TEST(RunStep, ReferenceDatapathBitIdentity) {
-    SaloConfig config;
-    config.reference_datapath = true;
+    // Every int8 run_step against row t of the seed datapath's full-prefix
+    // run (reference_run).
+    const SaloConfig config;
     expect_stepwise_bit_identity(config, {Band{-7, 8, 1, 0}}, {0, 1}, 2, 16, 16,
-                                 Fidelity::kFunctional, 53u);
+                                 Fidelity::kFunctional, 53u, /*seed_reference=*/true);
 }
 
 TEST(RunStep, CycleAccurateBitIdentity) {

@@ -70,9 +70,10 @@ TEST(FailureInjection, EngineShapeMismatches) {
     const SaloEngine engine(c);
     const auto pattern = longformer(16, 4, 1);
     Matrix<float> ok(16, 8), wrong_rows(8, 8), wrong_cols(16, 4);
-    EXPECT_THROW(engine.run_head(pattern, wrong_rows, ok, ok, 1.0f), ContractViolation);
-    EXPECT_THROW(engine.run_head(pattern, ok, wrong_cols, ok, 1.0f), ContractViolation);
-    EXPECT_THROW(engine.run_head(pattern, ok, ok, wrong_rows, 1.0f), ContractViolation);
+    const CompiledPlanPtr plan = engine.compile(pattern, ok.cols());
+    EXPECT_THROW(engine.run_head(*plan, wrong_rows, ok, ok, 1.0f), ContractViolation);
+    EXPECT_THROW(engine.run_head(*plan, ok, wrong_cols, ok, 1.0f), ContractViolation);
+    EXPECT_THROW(engine.run_head(*plan, ok, ok, wrong_rows, 1.0f), ContractViolation);
 }
 
 TEST(FailureInjection, MultiHeadCountMismatch) {
@@ -82,9 +83,10 @@ TEST(FailureInjection, MultiHeadCountMismatch) {
     const SaloEngine engine(c);
     const auto pattern = longformer(16, 4, 1);
     Tensor3<float> q(2, 16, 8), k(3, 16, 8), v(2, 16, 8);
-    EXPECT_THROW(engine.run(pattern, q, k, v, 1.0f), ContractViolation);
+    const CompiledPlanPtr plan = engine.compile(pattern, 8);
+    EXPECT_THROW(engine.run(*plan, q, k, v, 1.0f), ContractViolation);
     Tensor3<float> empty;
-    EXPECT_THROW(engine.run(pattern, empty, empty, empty, 1.0f), ContractViolation);
+    EXPECT_THROW(engine.run(*plan, empty, empty, empty, 1.0f), ContractViolation);
 }
 
 TEST(FailureInjection, SynthesisRejectsInvalidGeometry) {

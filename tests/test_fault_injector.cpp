@@ -127,8 +127,9 @@ TEST(FaultInjector, FaultedRequestFailsAloneAndBatchStaysBitIdentical) {
     // Ground truth: every request standalone through a sequential engine.
     const SaloEngine sequential(serving_config(1));
     std::vector<LayerResult> expected;
+    const CompiledPlanPtr plan = sequential.compile(w.pattern, w.head_dim);
     for (int i = 0; i <= kSiblings; ++i)
-        expected.push_back(sequential.run(w.pattern, inputs[static_cast<std::size_t>(i)].q,
+        expected.push_back(sequential.run(*plan, inputs[static_cast<std::size_t>(i)].q,
                                           inputs[static_cast<std::size_t>(i)].k,
                                           inputs[static_cast<std::size_t>(i)].v,
                                           w.scale()));

@@ -51,7 +51,7 @@ TEST_P(GeometrySweep, EngineMatchesGolden) {
     const auto k = random_matrix(64, 8, rng, 0.0, 0.8);
     const auto v = random_matrix(64, 8, rng, 0.0, 0.8);
     const float scale = 0.35f;
-    const auto sim = engine.run_head(pattern, q, k, v, scale);
+    const auto sim = engine.run_head(*engine.compile(pattern, q.cols()), q, k, v, scale);
     Matrix<float> qs = q;
     for (auto& x : qs.data()) x *= scale;
     const auto gold = masked_attention(quantize_roundtrip<InputFx>(qs),

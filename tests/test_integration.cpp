@@ -28,9 +28,10 @@ TEST(Integration, MiniLongformerAllFidelities) {
     const SaloEngine functional(small_config(Fidelity::kFunctional));
     const SaloEngine cycle(small_config(Fidelity::kCycleAccurate));
 
-    const auto g = golden.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
-    const auto f = functional.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
-    const auto c = cycle.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
+    const CompiledPlan plan = compile(w.pattern, w.head_dim, small_config());
+    const auto g = golden.run(plan, qkv.q, qkv.k, qkv.v, w.scale());
+    const auto f = functional.run(plan, qkv.q, qkv.k, qkv.v, w.scale());
+    const auto c = cycle.run(plan, qkv.q, qkv.k, qkv.v, w.scale());
 
     for (int h = 0; h < w.heads; ++h) {
         // Functional == cycle-accurate bit-exactly.
@@ -56,8 +57,9 @@ TEST(Integration, MiniVilAllFidelities) {
     const QkvSet qkv = make_qkv(w, 88);
     const SaloEngine functional(small_config(Fidelity::kFunctional));
     const SaloEngine cycle(small_config(Fidelity::kCycleAccurate));
-    const auto f = functional.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
-    const auto c = cycle.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
+    const CompiledPlan plan = compile(w.pattern, w.head_dim, small_config());
+    const auto f = functional.run(plan, qkv.q, qkv.k, qkv.v, w.scale());
+    const auto c = cycle.run(plan, qkv.q, qkv.k, qkv.v, w.scale());
     for (int h = 0; h < w.heads; ++h)
         EXPECT_DOUBLE_EQ(max_abs_diff(f.output[h], c.output[h]), 0.0);
     for (int h = 0; h < w.heads; ++h) {
@@ -98,9 +100,8 @@ TEST(Integration, RegressionPinnedSynthesis) {
 TEST(Integration, SchedulePlanIsDeterministic) {
     const auto w = longformer_small(128, 16, 1, 16, 2);
     const SaloConfig config = small_config();
-    const SaloEngine engine(config);
-    const auto p1 = engine.plan(w.pattern, w.head_dim);
-    const auto p2 = engine.plan(w.pattern, w.head_dim);
+    const auto p1 = schedule(w.pattern, config.geometry, w.head_dim, config.schedule_options);
+    const auto p2 = schedule(w.pattern, config.geometry, w.head_dim, config.schedule_options);
     ASSERT_EQ(p1.tiles.size(), p2.tiles.size());
     for (std::size_t t = 0; t < p1.tiles.size(); ++t) {
         EXPECT_EQ(p1.tiles[t].query_ids, p2.tiles[t].query_ids);
@@ -117,7 +118,8 @@ TEST(Integration, EngineAgreesWithStreamingOracle) {
     const auto w = longformer_small(80, 12, 1, 16, 1);
     const QkvSet qkv = make_qkv(w, 55);
     const SaloEngine engine(small_config());
-    const auto run = engine.run_head(w.pattern, qkv.q[0], qkv.k[0], qkv.v[0], w.scale());
+    const auto run = engine.run_head(*engine.compile(w.pattern, w.head_dim), qkv.q[0], qkv.k[0],
+                                     qkv.v[0], w.scale());
     const auto oracle = streaming_masked_attention(qkv.q[0], qkv.k[0], qkv.v[0],
                                                    w.scale(), w.pattern.attend_fn(), 7);
     EXPECT_LT(max_abs_diff(run.output, oracle), 0.25);
@@ -127,8 +129,10 @@ TEST(Integration, EndToEndDeterminism) {
     const auto w = longformer_small(64, 8, 2, 16, 1);
     const QkvSet qkv = make_qkv(w, 5);
     const SaloEngine engine(small_config());
-    const auto a = engine.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
-    const auto b = engine.run(w.pattern, qkv.q, qkv.k, qkv.v, w.scale());
+    const auto a = engine.run(*engine.compile(w.pattern, w.head_dim), qkv.q, qkv.k, qkv.v,
+                              w.scale());
+    const auto b = engine.run(*engine.compile(w.pattern, w.head_dim), qkv.q, qkv.k, qkv.v,
+                              w.scale());
     for (int h = 0; h < w.heads; ++h)
         EXPECT_DOUBLE_EQ(max_abs_diff(a.output[h], b.output[h]), 0.0);
     EXPECT_EQ(a.stats.cycles, b.stats.cycles);

@@ -25,8 +25,10 @@ TEST(SaloModel, MatchesEngineFunctionalCycles) {
     const SaloConfig config = small_config();
     const SaloEngine engine(config);
     const auto qkv = make_qkv(workload, 3);
-    const auto run = engine.run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
-    const auto plan = engine.plan(workload.pattern, workload.head_dim);
+    const auto run = engine.run(*engine.compile(workload.pattern, workload.head_dim), qkv.q,
+                                qkv.k, qkv.v, workload.scale());
+    const auto plan = schedule(workload.pattern, config.geometry, workload.head_dim,
+                               config.schedule_options);
     const SimStats estimate = estimate_head_stats(plan, config);
     EXPECT_EQ(estimate.cycles, run.stats.cycles);
     EXPECT_EQ(estimate.tiles, run.stats.tiles);
@@ -41,8 +43,10 @@ TEST(SaloModel, PipeliningMatchesEngineAndReducesCycles) {
     config.tile_pipelining = true;
     const SaloEngine engine(config);
     const auto qkv = make_qkv(workload, 4);
-    const auto run = engine.run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
-    const auto plan = engine.plan(workload.pattern, workload.head_dim);
+    const auto run = engine.run(*engine.compile(workload.pattern, workload.head_dim), qkv.q,
+                                qkv.k, qkv.v, workload.scale());
+    const auto plan = schedule(workload.pattern, config.geometry, workload.head_dim,
+                               config.schedule_options);
     EXPECT_EQ(estimate_head_stats(plan, config).cycles, run.stats.cycles);
 
     SaloConfig off = small_config();

@@ -14,8 +14,8 @@
 #include "core/engine.hpp"
 #include "common/rng.hpp"
 #include "numeric/quantize.hpp"
+#include "reference/seed_datapath.hpp"
 #include "sim/kernels.hpp"
-#include "sim/tile_executor.hpp"
 #include "workload/workloads.hpp"
 
 namespace salo {
@@ -55,12 +55,12 @@ void expect_identical(const LayerResult& a, const LayerResult& b, const char* wh
 TEST(ParallelEngine, FunctionalDeterministicAcrossThreadCounts) {
     const auto workload = longformer_small(192, 16, 3, 16, 1);
     const auto qkv = make_qkv(workload, 11);
-    const auto base = SaloEngine(config_with_threads(1))
-                          .run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
+    const CompiledPlan plan = compile(workload.pattern, workload.head_dim, config_with_threads(1));
+    const auto base =
+        SaloEngine(config_with_threads(1)).run(plan, qkv.q, qkv.k, qkv.v, workload.scale());
     for (int threads : {2, 8}) {
         const auto par = SaloEngine(config_with_threads(threads))
-                             .run(workload.pattern, qkv.q, qkv.k, qkv.v,
-                                  workload.scale());
+                             .run(plan, qkv.q, qkv.k, qkv.v, workload.scale());
         expect_identical(base, par, "functional");
     }
 }
@@ -68,13 +68,12 @@ TEST(ParallelEngine, FunctionalDeterministicAcrossThreadCounts) {
 TEST(ParallelEngine, CycleAccurateDeterministicAcrossThreadCounts) {
     const auto workload = longformer_small(64, 8, 2, 8, 1);
     const auto qkv = make_qkv(workload, 5);
-    const auto base =
-        SaloEngine(config_with_threads(1, Fidelity::kCycleAccurate))
-            .run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
+    const CompiledPlan plan = compile(workload.pattern, workload.head_dim, config_with_threads(1));
+    const auto base = SaloEngine(config_with_threads(1, Fidelity::kCycleAccurate))
+                          .run(plan, qkv.q, qkv.k, qkv.v, workload.scale());
     for (int threads : {2, 8}) {
-        const auto par =
-            SaloEngine(config_with_threads(threads, Fidelity::kCycleAccurate))
-                .run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
+        const auto par = SaloEngine(config_with_threads(threads, Fidelity::kCycleAccurate))
+                             .run(plan, qkv.q, qkv.k, qkv.v, workload.scale());
         expect_identical(base, par, "cycle-accurate");
     }
 }
@@ -85,13 +84,13 @@ TEST(ParallelEngine, HeadPathDeterministicWithUnevenHeadsPerLane) {
         for (int heads : {3, 5}) {
             const auto workload = longformer_small(64, 8, heads, 8, 1);
             const auto qkv = make_qkv(workload, 17 + static_cast<std::uint64_t>(heads));
+            const CompiledPlan plan =
+                compile(workload.pattern, workload.head_dim, config_with_threads(1));
             const auto base = SaloEngine(config_with_threads(1, fidelity))
-                                  .run(workload.pattern, qkv.q, qkv.k, qkv.v,
-                                       workload.scale());
+                                  .run(plan, qkv.q, qkv.k, qkv.v, workload.scale());
             for (int threads : {4, 8}) {
                 const auto par = SaloEngine(config_with_threads(threads, fidelity))
-                                     .run(workload.pattern, qkv.q, qkv.k, qkv.v,
-                                          workload.scale());
+                                     .run(plan, qkv.q, qkv.k, qkv.v, workload.scale());
                 SCOPED_TRACE(testing::Message() << heads << " heads, " << threads
                                                 << " threads");
                 expect_identical(base, par, fidelity == Fidelity::kFunctional
@@ -107,12 +106,13 @@ TEST(ParallelEngine, SingleHeadCycleAccurateMatchesOneThread) {
     // accounting in schedule order.
     const auto workload = longformer_small(128, 16, 1, 8, 1);
     const auto qkv = make_qkv(workload, 9);
+    const CompiledPlan plan = compile(workload.pattern, workload.head_dim, config_with_threads(1));
     const auto base = SaloEngine(config_with_threads(1, Fidelity::kCycleAccurate))
-                          .run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
+                          .run(plan, qkv.q, qkv.k, qkv.v, workload.scale());
     ASSERT_GE(base.stats.tiles, 16);  // more tiles than the widest pool
     for (int threads : {2, 8}) {
         const auto par = SaloEngine(config_with_threads(threads, Fidelity::kCycleAccurate))
-                             .run(workload.pattern, qkv.q, qkv.k, qkv.v, workload.scale());
+                             .run(plan, qkv.q, qkv.k, qkv.v, workload.scale());
         expect_identical(base, par, "cycle-accurate single head");
     }
 }
@@ -123,29 +123,42 @@ TEST(ParallelEngine, SingleHeadRunDeterministicAcrossThreadCounts) {
     const auto q = random_matrix(256, 16, rng, 0.0, 0.8);
     const auto k = random_matrix(256, 16, rng, 0.0, 0.8);
     const auto v = random_matrix(256, 16, rng, 0.0, 0.8);
-    const auto seq = SaloEngine(config_with_threads(1)).run_head(pattern, q, k, v, 0.25f);
-    const auto par = SaloEngine(config_with_threads(8)).run_head(pattern, q, k, v, 0.25f);
+    const CompiledPlan plan = compile(pattern, 16, config_with_threads(1));
+    const auto seq = SaloEngine(config_with_threads(1)).run_head(plan, q, k, v, 0.25f);
+    const auto par = SaloEngine(config_with_threads(8)).run_head(plan, q, k, v, 0.25f);
     EXPECT_DOUBLE_EQ(max_abs_diff(seq.output, par.output), 0.0);
     EXPECT_EQ(seq.stats.cycles, par.stats.cycles);
     EXPECT_EQ(seq.stats.activity.mac_ops, par.stats.activity.mac_ops);
 }
 
 // -------------------------------------------------------------------------
-// Reference (seed) datapath vs optimized kernels: bit-identical end to end.
+// Reference (seed) datapath vs the engine's datapaths: bit-identical end to
+// end at functional and cycle-accurate fidelity.
 // -------------------------------------------------------------------------
 
 TEST(ParallelEngine, ReferenceDatapathBitIdenticalToOptimized) {
-    const auto workload = longformer_small(128, 16, 2, 16, 1);
-    const auto qkv = make_qkv(workload, 3);
-    SaloConfig ref_cfg = config_with_threads(1);
-    ref_cfg.reference_datapath = true;
-    const auto ref = SaloEngine(ref_cfg).run(workload.pattern, qkv.q, qkv.k, qkv.v,
-                                             workload.scale());
-    for (int threads : {1, 8}) {
-        const auto opt = SaloEngine(config_with_threads(threads))
-                             .run(workload.pattern, qkv.q, qkv.k, qkv.v,
-                                  workload.scale());
-        expect_identical(ref, opt, "reference vs optimized");
+    // A Longformer layer (global token 0), and a layer with a second global
+    // token mid-sequence, whose global PE row and column meet window tiles
+    // on both sides of it.
+    AttentionWorkload mid_global = longformer_small(96, 16, 2, 16, 2);
+    mid_global.pattern = sliding_window(96, 16, {0, 40});
+    for (const AttentionWorkload& workload :
+         {longformer_small(128, 16, 2, 16, 1), mid_global}) {
+        const auto qkv = make_qkv(workload, 3);
+        const SaloConfig ref_cfg = config_with_threads(1);
+        const CompiledPlan plan = compile(workload.pattern, workload.head_dim, ref_cfg);
+        const auto ref = reference_run(ref_cfg, plan, qkv.q, qkv.k, qkv.v, workload.scale());
+        for (Fidelity fidelity : {Fidelity::kFunctional, Fidelity::kCycleAccurate}) {
+            for (int threads : {1, 8}) {
+                const auto opt = SaloEngine(config_with_threads(threads, fidelity))
+                                     .run(plan, qkv.q, qkv.k, qkv.v, workload.scale());
+                SCOPED_TRACE(testing::Message()
+                             << workload.pattern.global_tokens().size() << " globals, "
+                             << threads << " threads, fidelity "
+                             << static_cast<int>(fidelity));
+                expect_identical(ref, opt, "reference vs optimized");
+            }
+        }
     }
 }
 
@@ -285,11 +298,7 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
     EXPECT_EQ(pool.lanes(), 4);
     std::vector<std::atomic<int>> hits(257);
     for (auto& h : hits) h.store(0);
-    pool.parallel_for(257, [&](int i, int lane) {
-        ASSERT_GE(lane, 0);
-        ASSERT_LT(lane, 4);
-        hits[static_cast<std::size_t>(i)].fetch_add(1);
-    });
+    pool.parallel_for(257, [&](int i) { hits[static_cast<std::size_t>(i)].fetch_add(1); });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -297,10 +306,7 @@ TEST(ThreadPool, SingleLanePoolRunsInline) {
     ThreadPool pool(1);
     EXPECT_EQ(pool.lanes(), 1);
     int sum = 0;
-    pool.parallel_for(10, [&](int i, int lane) {
-        EXPECT_EQ(lane, 0);
-        sum += i;
-    });
+    pool.parallel_for(10, [&](int i) { sum += i; });
     EXPECT_EQ(sum, 45);
 }
 
@@ -308,13 +314,13 @@ TEST(ThreadPool, PropagatesTaskExceptions) {
     ThreadPool pool(3);
     EXPECT_THROW(
         pool.parallel_for(100,
-                          [&](int i, int) {
+                          [&](int i) {
                               if (i == 31) throw std::runtime_error("boom");
                           }),
         std::runtime_error);
     // The pool survives and is reusable after a failed run.
     std::atomic<int> count{0};
-    pool.parallel_for(50, [&](int, int) { count.fetch_add(1); });
+    pool.parallel_for(50, [&](int) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 50);
 }
 
@@ -330,7 +336,7 @@ TEST(ThreadPool, ThrowingTaskDoesNotAbandonSiblings) {
         for (auto& h : hits) h.store(0);
         bool threw = false;
         try {
-            pool.parallel_for(97, [&](int i, int) {
+            pool.parallel_for(97, [&](int i) {
                 hits[static_cast<std::size_t>(i)].fetch_add(1);
                 if (i == 13) throw std::runtime_error("injected");
             });

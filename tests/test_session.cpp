@@ -71,15 +71,17 @@ TEST(Session, ConcurrentMixedStreamBitIdenticalToSequentialRun) {
     const int kRequests = 12;
     const Stream stream = Stream::mixed(kRequests);
 
-    // Sequential ground truth: one engine, one thread, one-shot calls.
+    // Sequential ground truth: one engine, one thread, one run per request.
     const SaloEngine sequential(serving_config(1));
     std::vector<LayerResult> expected;
-    for (int i = 0; i < kRequests; ++i)
-        expected.push_back(sequential.run(stream.workloads[static_cast<std::size_t>(i)].pattern,
+    for (int i = 0; i < kRequests; ++i) {
+        const AttentionWorkload& w = stream.workloads[static_cast<std::size_t>(i)];
+        expected.push_back(sequential.run(*sequential.compile(w.pattern, w.head_dim),
                                           stream.inputs[static_cast<std::size_t>(i)].q,
                                           stream.inputs[static_cast<std::size_t>(i)].k,
                                           stream.inputs[static_cast<std::size_t>(i)].v,
-                                          stream.workloads[static_cast<std::size_t>(i)].scale()));
+                                          w.scale()));
+    }
 
     for (int threads : {1, 2, 8}) {
         SaloSession session(serving_config(threads));

@@ -255,8 +255,8 @@ TEST(ShardedSession, MixedStreamBitIdenticalToSequentialEngine) {
     std::vector<LayerResult> expected;
     expected.reserve(work.size());
     for (const Work& w : work)
-        expected.push_back(
-            reference.run(w.w.pattern, w.qkv.q, w.qkv.k, w.qkv.v, w.w.scale()));
+        expected.push_back(reference.run(*reference.compile(w.w.pattern, w.w.head_dim), w.qkv.q,
+                                         w.qkv.k, w.qkv.v, w.w.scale()));
 
     ShardedSessionOptions options;
     options.num_shards = 2;
@@ -303,8 +303,8 @@ TEST(ShardedSession, TransientFaultFailsOverToAnotherShardAndCompletes) {
     const SaloEngine reference(config);
     const Work work;
     const LayerResult expected =
-        reference.run(work.w.pattern, work.qkv.q, work.qkv.k, work.qkv.v,
-                      work.w.scale());
+        reference.run(*reference.compile(work.w.pattern, work.w.head_dim), work.qkv.q,
+                      work.qkv.k, work.qkv.v, work.w.scale());
 
     ShardedSessionOptions options;
     options.num_shards = 2;
@@ -760,8 +760,8 @@ TEST(TenantFairness, SharedPlanStoreCompilesOnceTierWide) {
     ASSERT_NE(tier.shared_plan_store(), nullptr);
 
     const SaloEngine seq(serving_config(1));
-    const LayerResult expected = seq.run(work.w.pattern, work.qkv.q, work.qkv.k,
-                                         work.qkv.v, work.w.scale());
+    const LayerResult expected = seq.run(*seq.compile(work.w.pattern, work.w.head_dim),
+                                         work.qkv.q, work.qkv.k, work.qkv.v, work.w.scale());
 
     // A concurrent burst: least-cost routing is free to spread the shape
     // over any subset of shards — the compile count must stay 1 anyway.

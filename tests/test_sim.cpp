@@ -46,11 +46,12 @@ SimResult run_functional(const HybridPattern& pattern, const Matrix<float>& q,
     const TileExecutor exec(exp_unit, recip_unit, qq, kq, vq);
     WeightedSumModule wsm(pattern.n(), q.cols(), recip_unit);
     SimResult result;
-    std::vector<TilePart> parts;
+    PartArena parts;
+    PartScratch scratch;
     for (const TileTask& tile : plan.tiles) {
-        parts.clear();
-        exec.run(tile, parts, result.activity);
-        for (const TilePart& p : parts) wsm.merge(p);
+        parts.reset();
+        exec.run(tile, parts, result.activity, scratch);
+        for (std::size_t i = 0; i < parts.used(); ++i) wsm.merge(parts.at(i));
     }
     result.output = wsm.finalize();
     return result;
